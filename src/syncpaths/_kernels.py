@@ -1,10 +1,11 @@
 """Hot numeric kernel: fixed-step RK4 with threshold-crossing detection.
 
 The integrator below dominates the runtime of every nonlinear-flow
-computation, so it is compiled with numba when available.  Setting
-``SYNCPATHS_DISABLE_NUMBA=1`` (or running without numba installed) selects
-the plain-Python/numpy twin: the very same function objects, undecorated,
-so both paths execute identical floating-point arithmetic.
+computation.  It runs over plain Python float lists: every caller integrates
+one configuration with a handful of vertices, where per-element numpy access
+costs more than the arithmetic.  Each sum is accumulated left to right in a
+fixed vertex order, never with ``sum()`` (compensated since Python 3.12), so
+a run's event times are reproducible bit for bit.
 
 Status codes returned by ``integrate_events``:
     0  subnetwork completed
@@ -15,158 +16,101 @@ Status codes returned by ``integrate_events``:
 
 from __future__ import annotations
 
-import math
-import os
+from math import sin
 
-import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-NUMBA_ENABLED = numba is not None and os.environ.get(
-    "SYNCPATHS_DISABLE_NUMBA", ""
-).lower() not in ("1", "true", "yes")
-
-if NUMBA_ENABLED:
-    _jit = numba.njit(cache=True)
-else:
-    def _jit(func):
-        return func
+# No compiled variant exists; perfbench/run.py still reports this flag.
+NUMBA_ENABLED = False
 
 
-@_jit
-def kuramoto_rhs(x, sigma, n_party, out):
+def kuramoto_rhs(x, sigma, n_party):
     """Phase velocities; n_party == 0 means all-to-all, else bipartite parties."""
-    n = x.shape[0]
-    if n_party == 0:
-        for v in range(n):
+    if n_party == 0:  # the hot case: its own loop is ~7% faster than the shared one
+        out = []
+        for xv in x:
             acc = 0.0
-            for u in range(n):
-                acc += math.sin(x[u] - x[v])
-            out[v] = sigma * acc
-    else:
-        for v in range(n):
+            for xu in x:
+                acc += sin(xu - xv)
+            out.append(sigma * acc)
+        return out
+    first, second = x[:n_party], x[n_party:]
+    out = []
+    for own, others in ((first, second), (second, first)):
+        for xv in own:
             acc = 0.0
-            if v < n_party:
-                for u in range(n_party, n):
-                    acc += math.sin(x[u] - x[v])
-            else:
-                for u in range(n_party):
-                    acc += math.sin(x[u] - x[v])
-            out[v] = sigma * acc
+            for xu in others:
+                acc += sin(xu - xv)
+            out.append(sigma * acc)
+    return out
 
 
-@_jit
-def rk4_step(x, sigma, n_party, h, out, k1, k2, k3, k4, xs):
-    """One classical RK4 step of size h from state x into out."""
-    n = x.shape[0]
-    kuramoto_rhs(x, sigma, n_party, k1)
-    for i in range(n):
-        xs[i] = x[i] + 0.5 * h * k1[i]
-    kuramoto_rhs(xs, sigma, n_party, k2)
-    for i in range(n):
-        xs[i] = x[i] + 0.5 * h * k2[i]
-    kuramoto_rhs(xs, sigma, n_party, k3)
-    for i in range(n):
-        xs[i] = x[i] + h * k3[i]
-    kuramoto_rhs(xs, sigma, n_party, k4)
-    for i in range(n):
-        out[i] = x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+def rk4_step(x, sigma, n_party, h):
+    """One classical RK4 step of size h from state x; returns the new state."""
+    half = 0.5 * h
+    k1 = kuramoto_rhs(x, sigma, n_party)
+    k2 = kuramoto_rhs([xi + half * ki for xi, ki in zip(x, k1)], sigma, n_party)
+    k3 = kuramoto_rhs([xi + half * ki for xi, ki in zip(x, k2)], sigma, n_party)
+    k4 = kuramoto_rhs([xi + h * ki for xi, ki in zip(x, k3)], sigma, n_party)
+    sixth = h / 6.0
+    return [
+        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
 
 
-@_jit
-def _pair_gap(x, u, v, eps):
-    return abs(x[u] - x[v]) - eps
-
-
-@_jit
-def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pu, pv, active0):
+def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pairs, active0):
     """Integrate until every monitored pair is within eps.
 
-    pu/pv are 0-based endpoint arrays of the monitored pairs; active0 marks
-    pairs already within eps at t=0.  Crossing times are refined by
+    pairs lists the 0-based endpoints (u, v) of the monitored pairs; active0
+    marks pairs already within eps at t=0.  Crossing times are refined by
     bisection (re-stepping from the pre-step state) to crossing_tol.
 
-    Returns (event_times, event_pairs, n_events, status, x_final, t_final).
+    Returns (event_times, event_pairs, status, x_final, t_final), the events
+    as lists of times and pair indices in order of occurrence.
     """
-    n = x0.shape[0]
-    npairs = pu.shape[0]
-    x = x0.copy()
-    xnew = np.empty(n)
-    xb = np.empty(n)
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    xs = np.empty(n)
-    active = active0.copy()
-
-    ev_t = np.empty(npairs, dtype=np.float64)
-    ev_p = np.empty(npairs, dtype=np.int64)
-    n_ev = 0
-    remaining = 0
-    for i in range(npairs):
-        if not active[i]:
-            remaining += 1
-
+    x = list(x0)
+    active = [(u, v) for (u, v), on in zip(pairs, active0) if on]
+    pending = [(i, u, v) for i, ((u, v), on) in enumerate(zip(pairs, active0)) if not on]
+    ev_t: list[float] = []
+    ev_p: list[int] = []
     t = 0.0
-    if remaining == 0:
-        return ev_t, ev_p, 0, 0, x, t
-
-    cross_t = np.empty(npairs, dtype=np.float64)
-    cross_p = np.empty(npairs, dtype=np.int64)
+    if not pending:
+        return ev_t, ev_p, 0, x, t
 
     for _ in range(max_steps):
-        rk4_step(x, sigma, n_party, step, xnew, k1, k2, k3, k4, xs)
+        xnew = rk4_step(x, sigma, n_party, step)
+        for u, v in active:
+            if abs(xnew[u] - xnew[v]) - eps > 0.0:
+                return ev_t, ev_p, 3, x, t
 
-        n_cross = 0
-        for i in range(npairs):
-            if active[i]:
-                if _pair_gap(xnew, pu[i], pv[i], eps) > 0.0:
-                    return ev_t, ev_p, n_ev, 3, x, t
-            elif _pair_gap(xnew, pu[i], pv[i], eps) <= 0.0:
+        crossed = []
+        for i, u, v in pending:
+            if abs(xnew[u] - xnew[v]) - eps <= 0.0:
                 # bisect tau in (0, step]: the crossing of |x_u - x_v| = eps
                 lo = 0.0
                 hi = step
                 while hi - lo > crossing_tol:
                     mid = 0.5 * (lo + hi)
-                    rk4_step(x, sigma, n_party, mid, xb, k1, k2, k3, k4, xs)
-                    if _pair_gap(xb, pu[i], pv[i], eps) > 0.0:
+                    xb = rk4_step(x, sigma, n_party, mid)
+                    if abs(xb[u] - xb[v]) - eps > 0.0:
                         lo = mid
                     else:
                         hi = mid
-                cross_t[n_cross] = t + hi
-                cross_p[n_cross] = i
-                n_cross += 1
+                crossed.append((t + hi, i, u, v))
 
-        if n_cross > 0:
-            # insertion sort by crossing time (rarely more than a couple)
-            for a in range(1, n_cross):
-                tt = cross_t[a]
-                pp = cross_p[a]
-                b = a - 1
-                while b >= 0 and cross_t[b] > tt:
-                    cross_t[b + 1] = cross_t[b]
-                    cross_p[b + 1] = cross_p[b]
-                    b -= 1
-                cross_t[b + 1] = tt
-                cross_p[b + 1] = pp
-            for a in range(1, n_cross):
-                if cross_t[a] - cross_t[a - 1] < crossing_tol:
-                    return ev_t, ev_p, n_ev, 2, x, t
-            for a in range(n_cross):
-                ev_t[n_ev] = cross_t[a]
-                ev_p[n_ev] = cross_p[a]
-                n_ev += 1
-                active[cross_p[a]] = True
-                remaining -= 1
+        if crossed:
+            crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
+            for a in range(1, len(crossed)):
+                if crossed[a][0] - crossed[a - 1][0] < crossing_tol:
+                    return ev_t, ev_p, 2, x, t
+            for tc, i, u, v in crossed:
+                ev_t.append(tc)
+                ev_p.append(i)
+                active.append((u, v))
+            pending = [p for p in pending if p[0] not in ev_p]
 
-        for i in range(n):
-            x[i] = xnew[i]
+        x = xnew
         t += step
-        if remaining == 0:
-            return ev_t, ev_p, n_ev, 0, x, ev_t[n_ev - 1]
+        if not pending:
+            return ev_t, ev_p, 0, x, ev_t[-1]
 
-    return ev_t, ev_p, n_ev, 1, x, t
+    return ev_t, ev_p, 1, x, t

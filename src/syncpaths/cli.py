@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid or degenerate input, 3 resource guard
 exceeded, 1 internal error or failed verification.  Thread count for the
-realizable-path search comes from SYNCPATHS_THREADS (default 1); set
-SYNCPATHS_DISABLE_NUMBA=1 to run the integrator without JIT compilation.
+realizable-path search comes from SYNCPATHS_THREADS (default
+os.cpu_count()).
 """
 
 from __future__ import annotations

@@ -200,7 +200,8 @@ def switching_times_kn(config: Configuration, eps) -> SyncSequence:
     events = []
     for (u, v), inc in sorted(incs.items(), key=lambda kv: kv[1]):
         t = (math.log(inc) - math.log(eps)) / n
-        assert code[u - 1] == v - 1, "edges must arrive in reach order"
+        if code[u - 1] != v - 1:
+            raise SyncPathsError(f"edge {(u, v)} arrived out of reach order")
         code[u - 1] = v
         events.append(SyncEvent(t=t, site=u, sign=0, edge=(u, v)))
     return SyncSequence(config.spec, float(eps), initial, tuple(events), tuple(code))
@@ -238,7 +239,8 @@ def switching_times_knn_balanced(config: Configuration, eps) -> SyncSequence:
     for edge, d in sorted(diffs.items(), key=lambda kv: abs(kv[1])):
         t = float((math.log(abs(d)) - math.log(eps)) / n)
         site, sign, code = apply_edge_knn(code, edge, n)
-        assert sign == (1 if d > 0 else -1)
+        if sign != (1 if d > 0 else -1):
+            raise SyncPathsError(f"edge {edge} joined from the side opposite its sign")
         events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
     return SyncSequence(config.spec, float(eps), initial, tuple(events), code)
 
@@ -344,24 +346,23 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
     spec = config.spec
     eps = float(eps)
     n_party = 0 if spec.family is Family.COMPLETE else spec.n
-    x0 = config.as_array()
+    x0 = [float(v) for v in config.values]
 
     pairs = _monitored_pairs(spec)
-    pu = np.asarray([u - 1 for u, _ in pairs], dtype=np.int64)
-    pv = np.asarray([v - 1 for _, v in pairs], dtype=np.int64)
-    gaps = np.abs(x0[pu] - x0[pv])
-    active0 = gaps <= eps
+    ends = [(u - 1, v - 1) for u, v in pairs]
+    gaps = [abs(x0[u] - x0[v]) for u, v in ends]
+    active0 = [gap <= eps for gap in gaps]
 
     step = params.effective_step(eps, spec.n)
     if params.horizon is not None:
         horizon = params.horizon
     else:
-        worst = max(float(gaps.max()), eps)
+        worst = max([*gaps, eps])  # a single vertex has no pairs
         horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
     max_steps = int(math.ceil(horizon / step)) + 1
 
-    ev_t, ev_p, n_ev, status, _, _ = _kernels.integrate_events(
-        x0, params.sigma, eps, n_party, step, params.crossing_tol, max_steps, pu, pv, active0
+    ev_t, ev_p, status, _, _ = _kernels.integrate_events(
+        x0, params.sigma, eps, n_party, step, params.crossing_tol, max_steps, ends, active0
     )
     if status == 1:
         raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")
@@ -376,13 +377,13 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
         initial = encode_knn(config, eps)
     code = initial
     events = []
-    for k in range(n_ev):
-        edge = pairs[ev_p[k]]
+    for t, p in zip(ev_t, ev_p):
+        edge = pairs[p]
         if spec.family is Family.COMPLETE:
             site, sign, code = apply_edge_kn(code, edge)
         else:
             site, sign, code = apply_edge_knn(code, edge, spec.n)
-        events.append(SyncEvent(t=float(ev_t[k]), site=site, sign=sign, edge=edge))
+        events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
     return SyncSequence(spec, eps, initial, tuple(events), code)
 
 

@@ -106,7 +106,3 @@ KNN2_ORDERING_TABLE: frozenset = frozenset(
         ((3, 1, 2, 4), ((2, 2, +1), (1, 1, -1), (2, 1, -1), (1, 2, +1))),
     }
 )
-
-# Arrangements declared incompatible with a balanced initial condition in
-# the published table (one party entirely below the other).
-KNN2_UNBALANCED_ARRANGEMENTS = ((1, 2, 3, 4), (3, 4, 1, 2))

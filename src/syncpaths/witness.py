@@ -115,7 +115,8 @@ def witness_kn(code: KnCode, eps) -> Configuration:
                 x[v] = root_pos[root] - l * eps + offset[v]
 
     values = tuple(x[1:])
-    assert all(v is not None for v in values)
+    if any(v is None for v in values):
+        raise SyncPathsError(f"witness for {code} left a vertex unplaced")
     return Configuration(complete(n), values)
 
 

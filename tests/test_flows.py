@@ -261,6 +261,8 @@ def test_kuramoto_diagonal_is_trivial():
     seq = kuramoto_sequence(cfg_kn(*([1.2] * 4)), KuramotoParams(), 1e-3)
     assert seq.events == ()
     assert seq.initial_code == (4, 4, 4, 4)
+    # a single vertex has no pairs to monitor
+    assert kuramoto_sequence(cfg_kn(0.3), KuramotoParams(), 1e-3).events == ()
 
 
 def test_kuramoto_matches_linear_near_diagonal():
@@ -322,14 +324,85 @@ def test_kuramoto_never_swaps_coordinates():
     n = 5
     u = np.sort(rng.random(n))
     x = 0.3 * (u - u.mean())
-    state = np.array(x)
-    k = [np.empty(n) for _ in range(5)]
+    state = [float(v) for v in x]
     h = 1e-3
     for _ in range(2000):
-        out = np.empty(n)
-        _kernels.rk4_step(state, 1.0, 0, h, out, k[0], k[1], k[2], k[3], k[4])
-        state = out
+        state = _kernels.rk4_step(state, 1.0, 0, h)
         assert all(state[i] <= state[i + 1] for i in range(n - 1))
+
+
+def test_kuramoto_kernel_output_is_pinned():
+    # Exact event times (==, not approx): the kernel sums left to right in a
+    # fixed vertex order, so any change of rounding shows here.
+    seq = kuramoto_sequence(cfg_kn(0.0, 0.003, 0.007, 0.012), KuramotoParams(), 1e-3)
+    assert seq.edge_order() == ((1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4))
+    assert [e.t for e in seq.events] == [
+        0.2746551278114057,
+        0.3465748696326869,
+        0.4023617781638697,
+        0.4864792719840509,
+        0.5493080579758222,
+        0.6212286796571873,
+    ]
+
+    cfg = cfg_knn(0.0, 0.004, 0.011, 0.002, 0.006, 0.015)
+    seq = kuramoto_sequence(cfg, KuramotoParams(), 1e-3)
+    assert seq.edge_order() == (
+        (2, 5), (1, 4), (3, 6), (2, 4), (1, 5), (3, 5), (2, 6), (3, 4), (1, 6)
+    )
+    assert [e.sign for e in seq.events] == [1, 1, 1, -1, 1, -1, 1, -1, 1]
+    assert [e.t for e in seq.events] == [
+        0.09589510409037193,
+        0.09589666894276858,
+        0.29603703257240555,
+        0.46210120061234494,
+        0.4621013041813757,
+        0.662694193267759,
+        0.7188778794605832,
+        0.8121836949029761,
+        0.8431347112654809,
+    ]
+
+    # Event times are bisection brackets and rarely see the last bit of the
+    # state; 100 steps near zero pin the rounding of the stages and sums.
+    for x, n_party, want in (
+        ((-0.21, -0.07, 0.04, 0.24), 0, [
+            -0.0038885530649494706,
+            -0.0012930608834881235,
+            0.000736072073666479,
+            0.004445541874771138,
+        ]),
+        ((-0.2, -0.05, 0.22, -0.15, 0.02, 0.16), 3, [
+            -0.009559809397438434,
+            -0.002027004034132612,
+            0.011513087216494062,
+            -0.008016843722548036,
+            0.0005245742409224241,
+            0.007565995696702666,
+        ]),
+    ):
+        state = list(x)
+        for _ in range(100):
+            state = _kernels.rk4_step(state, 1.0, n_party, 1e-2)
+        assert state == want
+
+    # desync raises the bare base class; the tie raises NotTypicalError
+    from syncpaths.errors import SyncPathsError
+
+    with pytest.raises(SyncPathsError) as desync:
+        kuramoto_sequence(cfg_knn(0.0, 0.001, 0.0005, 0.35), KuramotoParams(), 1e-3)
+    assert type(desync.value) is SyncPathsError
+    with pytest.raises(NotTypicalError):
+        kuramoto_sequence(cfg_knn(0.0, 0.02, 0.005, 0.015), KuramotoParams(), 1e-3)
+
+
+def test_kuramoto_horizon_exhausted():
+    # the same K4 run completes at t = 0.62 with the default horizon
+    from syncpaths.errors import UnsynchronizedError
+
+    cfg = cfg_kn(0.0, 0.003, 0.007, 0.012)
+    with pytest.raises(UnsynchronizedError):
+        kuramoto_sequence(cfg, KuramotoParams(horizon=0.05), 1e-3)
 
 
 def test_params_validation():
