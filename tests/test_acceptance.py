@@ -76,8 +76,7 @@ def test_c01_golomb_table():
 )
 def test_c01_stretch_golomb_n6():
     t0 = time.perf_counter()
-    jobs = int(os.environ.get("SYNCPATHS_THREADS", "4"))
-    count = count_realizable_paths_kn(6, jobs=jobs)
+    count = count_realizable_paths_kn(6, jobs=None)  # SYNCPATHS_THREADS, else os.cpu_count()
     elapsed = time.perf_counter() - t0
     assert count == 2608
     assert elapsed < 1800.0
@@ -384,7 +383,9 @@ def _dyck_area_counts(n):
 
     A height-by-step DP; each height carries its area polynomial packed into
     one big integer with (2n+1)-bit digits (no count exceeds 2^(2n)), so an
-    up-step from height h is a shift by h digits.
+    up-step from height h is a shift by h digits.  f_kn runs the same DP, so
+    the independent checks on it are the closed-form mean ratio below and
+    the convolution recurrence in tests/test_distributions.py.
     """
     bits = 2 * n + 1
     row = {0: 1}

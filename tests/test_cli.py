@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from syncpaths.cli import main
 
@@ -177,6 +178,18 @@ def test_dist_density(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,density"
     assert len(lines) == 11
+
+
+def test_dist_size_guard(capsys):
+    for family, n in (("kn", "3000"), ("knn", "200")):
+        t0 = time.perf_counter()
+        code, out, err = run_cli("dist", "--family", family, "--n", n, capsys=capsys)
+        assert code == 3 and out == ""
+        assert "exceeds the distribution limit" in err
+        assert time.perf_counter() - t0 < 1.0  # refused before any work
+    for family, n in (("kn", "60"), ("knn", "20")):
+        code, out, _ = run_cli("dist", "--family", family, "--n", n, capsys=capsys)
+        assert code == 0 and out.startswith("lengths: 1,")
 
 
 def test_witness_commands(capsys):

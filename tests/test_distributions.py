@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -48,6 +50,52 @@ def test_carlitz_totals():
     polys = carlitz_polynomials(12)
     for n in range(1, 13):
         assert sum(polys[n]) == catalan(n)
+
+
+def _convolution_polynomials(n):
+    """P_0..P_n by the recurrence P_m = sum_j t^j P_j P_{m-1-j}, on plain lists."""
+    polys = [[1]]
+    for m in range(1, n + 1):
+        acc = [0] * (m * (m - 1) // 2 + 1)
+        for j in range(m):
+            for i, a in enumerate(polys[j]):
+                for k, b in enumerate(polys[m - 1 - j]):
+                    acc[j + i + k] += a * b
+        polys.append(acc)
+    return polys
+
+
+def test_f_kn_matches_convolution_recurrence():
+    # an independent check on the Dyck height-by-area DP behind f_kn
+    polys = _convolution_polynomials(30)
+    assert carlitz_polynomials(30) == polys
+    for n in range(1, 31):
+        assert f_kn(n).counts == tuple(reversed(polys[n]))
+
+
+# sha256 of json.dumps([str(c) for c in counts]), taken from the Carlitz
+# convolution and the per-area column sweep that the packed DPs replaced
+LARGEST_TABLE_DIGESTS = {
+    (f_kn, 48): "feaba4dd1fbd79e1dcc6d61fdabcca6892bffb91371b307ee435a623cbfdbfb7",
+    (f_kn, 60): "d3e2b0df84072ef911dfd0559a1696f7749ddd49846ef690d76693137ac18e87",
+    (f_knn, 18): "dda3280c42d2bed44764dea47626027e9770e019f835d0011da11685543468b6",
+    (f_knn, 20): "39f10f81ae5a813bc00ae80123a2eae38764bf2d252fd4000603f4538a4c561c",
+}
+
+
+def test_largest_tables_pinned():
+    for (dist_fn, n), expected in LARGEST_TABLE_DIGESTS.items():
+        text = json.dumps([str(c) for c in dist_fn(n).counts])
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, (dist_fn.__name__, n)
+
+
+def test_distribution_size_guard():
+    with pytest.raises(SizeGuardError):
+        f_kn(151)
+    with pytest.raises(SizeGuardError):
+        carlitz_polynomials(151)
+    with pytest.raises(SizeGuardError):
+        f_knn(51)
 
 
 def test_f_kn_reference_rows():
@@ -181,8 +229,6 @@ def test_density_export_guard():
 
 
 def test_distribution_json():
-    import json
-
     payload = json.loads(f_kn(4).to_json())
     assert payload == {
         "family": "kn",
