@@ -59,12 +59,29 @@ def _family(text: str) -> Family:
     return Family(text)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _check_finite(values, source: str) -> tuple:
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{source} values must be finite, got {v}")
+    return tuple(values)
+
+
 def _parse_values(text: str) -> tuple:
     vals = []
     for tok in text.split(","):
         tok = tok.strip()
-        vals.append(Fraction(tok) if "/" in tok else float(tok))
-    return tuple(vals)
+        try:
+            vals.append(Fraction(tok) if "/" in tok else float(tok))
+        except ZeroDivisionError:
+            raise ValueError(f"--x values must be finite, got {tok}") from None
+    return _check_finite(vals, "--x")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -112,6 +129,7 @@ def cmd_simulate(args) -> int:
     elif args.x_file:
         with open(args.x_file) as fh:
             config = configuration_from_json(fh.read())
+        _check_finite(config.values, "--x-file")
         if config.spec != spec:
             raise ValueError("configuration file does not match --family/--n")
     else:
@@ -274,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=["kn", "knn"], required=True)
         p.add_argument("--n", type=int, required=True)
         if eps_default is not None:
-            p.add_argument("--eps", type=float, default=eps_default)
+            p.add_argument("--eps", type=_positive_float, default=eps_default)
         p.add_argument("--out", help="write output to a file instead of stdout")
 
     p = sub.add_parser("simulate", help="event sequence of a flow")
     common(p, eps_default=1e-3)
     p.add_argument("--flow", choices=["laplacian", "kuramoto"], default="laplacian")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--sigma", type=_positive_float, default=1.0)
+    p.add_argument("--step", type=_positive_float, default=None)
     p.add_argument("--x", help="comma-separated positions (overrides --seed)")
     p.add_argument("--x-file", help="configuration JSON file (overrides --seed)")
     p.add_argument("--seed", type=int, default=0)

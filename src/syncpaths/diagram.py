@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .codes import (
     KnCode,
@@ -67,6 +68,18 @@ class TransitionDiagram:
         if self.spec.family is Family.COMPLETE:
             return kn_code_text(code)
         return knn_code_text(code)
+
+    @cached_property
+    def _path_counts(self) -> dict:
+        """Paths to the sink from every vertex; one DP, kept with this diagram."""
+        outgoing: dict = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            outgoing[a.source].append(a.target)
+        paths = {self.sink: 1}
+        for v in sorted(self.vertices, key=self.level, reverse=True):
+            if v != self.sink:
+                paths[v] = sum(paths[w] for w in outgoing[v])
+        return paths
 
 
 def successors_kn(code: KnCode) -> list[tuple[int, KnCode]]:
@@ -147,18 +160,13 @@ def build_diagram(spec: GraphSpec) -> TransitionDiagram:
 
 
 def count_admissible_paths(diagram: TransitionDiagram, source) -> int:
-    """Exact number of directed paths from source to the sink."""
-    if source not in set(diagram.vertices):
+    """Exact number of directed paths from source to the sink.
+
+    The path-count DP runs once per diagram object and answers every source.
+    """
+    paths = diagram._path_counts
+    if source not in paths:
         raise ValueError("source is not a vertex of the diagram")
-    outgoing: dict = {v: [] for v in diagram.vertices}
-    for a in diagram.arrows:
-        outgoing[a.source].append(a.target)
-    paths = {diagram.sink: 1}
-    by_level = sorted(diagram.vertices, key=diagram.level, reverse=True)
-    for v in by_level:
-        if v == diagram.sink:
-            continue
-        paths[v] = sum(paths[w] for w in outgoing[v])
     return paths[source]
 
 

@@ -162,7 +162,7 @@ def laplacian(spec: GraphSpec) -> np.ndarray:
 
 def sync_subnetwork(config: Configuration, eps: Number) -> frozenset[Edge]:
     """Edges whose endpoint positions are within eps of each other (closed inequality)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = config.values
     return frozenset(

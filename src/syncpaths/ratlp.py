@@ -1,20 +1,34 @@
-"""Exact rational linear feasibility (phase-1 simplex over Fractions).
+"""Exact linear feasibility (phase-1 simplex by fraction-free integer pivoting).
 
 Decides whether {x >= 0 : A x >= b, C x = d} is nonempty and returns a
 rational point when it is.  Bland's rule guarantees termination.  Problems
 here are tiny (tens of rows/columns), so a dense tableau is fine; all
 arithmetic is exact, there is no floating point anywhere.
+
+The input (ints or Fractions) is scaled by L, the lcm of every denominator,
+so the tableau starts in integers; slack and artificial entries stay +-1.
+For the LP this is only a positive rescaling of the slack and artificial
+variables and of the phase-1 objective, so every reduced-cost sign, every
+ratio-test argmin and the structural point are those of the rational
+tableau.  The tableau is kept as integers T with one common denominator
+d > 0 (each real entry is T/d).  A pivot on p = T[r][e] (Edmonds 1967,
+Bareiss 1968) leaves row r as it is and replaces every other row by
+(T[i]*p - T[i][e]*T[r]) // d, a division that is always exact because each
+entry is a minor of the initial matrix; then d = p, which stays positive
+because the ratio test pivots on positive entries only.  Artificial columns
+are never read after phase 1 starts (they cannot re-enter), so they are not
+stored.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-Row = tuple[Sequence[Fraction], Fraction]
+Row = tuple[Sequence[int | Fraction], int | Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def solve_feasibility(
@@ -23,142 +37,89 @@ def solve_feasibility(
     eq_rows: Sequence[Row] = (),
 ) -> list[Fraction] | None:
     """A point of {x >= 0 : ge rows hold with >=, eq rows with =}, or None."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    kinds: list[str] = []
-    for coeffs, b in ge_rows:
-        rows.append([Fraction(c) for c in coeffs])
-        rhs.append(Fraction(b))
-        kinds.append("ge")
-    for coeffs, b in eq_rows:
-        rows.append([Fraction(c) for c in coeffs])
-        rhs.append(Fraction(b))
-        kinds.append("eq")
-    m = len(rows)
+    given = list(ge_rows)
+    n_ge = len(given)
+    given += eq_rows
+    m = len(given)
     if m == 0:
         return [_ZERO] * num_vars
+    scale = math.lcm(*(v.denominator for coeffs, b in given for v in (*coeffs, b)))
 
-    # Normalize to equalities with nonnegative rhs. A 'ge' row gains a
-    # surplus column (-1); rows are flipped first when rhs < 0, which turns
-    # the surplus into a usable +1 slack.
-    surplus_col: list[int | None] = [None] * m
-    ncols = num_vars
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-c for c in rows[i]]
-            rhs[i] = -rhs[i]
-            if kinds[i] == "ge":
-                kinds[i] = "le"
-    for i in range(m):
-        if kinds[i] == "ge":
-            surplus_col[i] = ncols
-            ncols += 1
-        elif kinds[i] == "le":
-            surplus_col[i] = ncols
-            ncols += 1
-
-    # Basis: slack (+1) columns where available, artificials elsewhere.
-    basis: list[int] = [-1] * m
-    art_cols: list[int] = []
-    for i in range(m):
-        if kinds[i] == "le":
-            basis[i] = surplus_col[i]
+    # Columns: structural x, then one surplus per ge row (-1, or a +1 slack
+    # when the row is flipped for rhs < 0), then the rhs.  Rows whose slack
+    # is not usable get an (unstored) artificial, numbered after the surplus
+    # columns so that Bland's tie-break on basis indices is unchanged.
+    n_cols = num_vars + n_ge
+    tab: list[list[int]] = []
+    basis: list[int] = []
+    next_art = n_cols
+    for i, (coeffs, b) in enumerate(given):
+        row = [v.numerator * (scale // v.denominator) for v in coeffs]
+        row += [0] * (n_cols - len(row))
+        row.append(b.numerator * (scale // b.denominator))
+        flip = row[-1] < 0
+        if flip:
+            row = [-v for v in row]
+        if i < n_ge:
+            row[num_vars + i] = 1 if flip else -1
+        if i < n_ge and flip:
+            basis.append(num_vars + i)
         else:
-            basis[i] = ncols
-            art_cols.append(ncols)
-            ncols += 1
+            basis.append(next_art)
+            next_art += 1
+        tab.append(row)
 
-    tab = [[_ZERO] * (ncols + 1) for _ in range(m)]
-    for i in range(m):
-        for j, c in enumerate(rows[i]):
-            tab[i][j] = c
-        if kinds[i] == "ge":
-            tab[i][surplus_col[i]] = -_ONE
-        elif kinds[i] == "le":
-            tab[i][surplus_col[i]] = _ONE
-        if basis[i] >= num_vars and basis[i] not in (surplus_col[i],):
-            tab[i][basis[i]] = _ONE
-        tab[i][ncols] = rhs[i]
+    # Objective row (last row of tab): minimize the sum of artificials.
+    # Reduced costs times d; its rhs entry is minus the objective times d.
+    art_rows = [row for row, bv in zip(tab, basis) if bv >= n_cols]
+    tab.append([-sum(col) for col in zip(*art_rows)] if art_rows else [0] * (n_cols + 1))
 
-    artificial = [c in art_cols for c in range(ncols)]
-
-    # Objective: minimize the sum of artificial variables. Reduced costs are
-    # kept in obj[]; obj[ncols] is the negated objective value.
-    obj = [_ZERO] * (ncols + 1)
-    for i in range(m):
-        if artificial[basis[i]]:
-            for j in range(ncols + 1):
-                obj[j] -= tab[i][j]
-    for c in art_cols:
-        obj[c] = _ZERO
-
+    d = 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            if not artificial[j] and obj[j] < 0:
-                enter = j
-                break
+        obj = tab[m]
+        enter = next((j for j in range(n_cols) if obj[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, num, den = i, tab[i][-1], a
+                    continue
+                lhs, rhs = tab[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tab[i][-1], a
         if leave < 0:
             # Unbounded in phase 1 cannot happen (objective bounded below by 0);
             # defensive guard.
             raise RuntimeError("phase-1 simplex unbounded")
-        _pivot(tab, obj, m, ncols, leave, enter)
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
 
-    if -obj[ncols] != 0:
+    if obj[-1] != 0:
         return None
 
-    # Drive any zero-valued artificials out of the basis when possible.
+    # Artificials still basic here sit at zero.  Pivoting them out (on any
+    # nonzero entry of their row) would be degenerate: their rhs is 0, so no
+    # basic value, and hence no coordinate of x, would change.
     x = [_ZERO] * num_vars
     for i in range(m):
-        if artificial[basis[i]]:
-            pivoted = False
-            for j in range(ncols):
-                if not artificial[j] and tab[i][j] != 0:
-                    _pivot(tab, obj, m, ncols, i, j)
-                    basis[i] = j
-                    pivoted = True
-                    break
-            if not pivoted:
-                continue  # redundant row
         if basis[i] < num_vars:
-            x[basis[i]] = tab[i][ncols]
-    for i in range(m):
-        if basis[i] < num_vars:
-            x[basis[i]] = tab[i][ncols]
+            x[basis[i]] = Fraction(tab[i][-1], d)
     return x
 
 
-def _pivot(tab, obj, m: int, ncols: int, leave: int, enter: int) -> None:
-    piv = tab[leave][enter]
+def _pivot(tab: list[list[int]], leave: int, enter: int, d: int) -> int:
+    """Integer pivot on tab[leave][enter] > 0; returns the new common denominator."""
     prow = tab[leave]
-    if piv != 1:
-        inv = _ONE / piv
-        for j in range(ncols + 1):
-            if prow[j]:
-                prow[j] *= inv
-    for i in range(m):
+    p = prow[enter]
+    for i, row in enumerate(tab):
         if i == leave:
             continue
-        f = tab[i][enter]
+        f = row[enter]
         if f:
-            row = tab[i]
-            for j in range(ncols + 1):
-                if prow[j]:
-                    row[j] -= f * prow[j]
-    f = obj[enter]
-    if f:
-        for j in range(ncols + 1):
-            if prow[j]:
-                obj[j] -= f * prow[j]
+            tab[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+        elif p != d:
+            tab[i] = [a * p // d for a in row]
+    return p

@@ -84,12 +84,12 @@ class _ChainSpace(NamedTuple):
 
     windows: tuple[tuple[int, int], ...]   # half-open gap-index windows (lo, hi)
     n_gaps: int
-    eq_rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    eq_rows: tuple[tuple[tuple[int, ...], int], ...]
 
 
 def _window_row(space: _ChainSpace, a: int, b: int):
     """Coefficients/rhs of magnitude(b) - magnitude(a) >= 1 in shifted vars."""
-    coeffs = [Fraction(0)] * space.n_gaps
+    coeffs = [0] * space.n_gaps
     lo, hi = space.windows[b]
     for i in range(lo, hi):
         coeffs[i] += 1
@@ -100,7 +100,7 @@ def _window_row(space: _ChainSpace, a: int, b: int):
         base = (space.windows[b][1] - space.windows[b][0]) - (hi - lo)
     else:
         base = space.windows[b][1] - space.windows[b][0]
-    return coeffs, Fraction(1 - base)
+    return coeffs, 1 - base
 
 
 def _chain_feasible(space: _ChainSpace, chain: Sequence[int], tails: Iterable[int] = ()):
@@ -346,8 +346,8 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
         for i in range(2 * n - 1):
             later = arr[i + 1 :]
             c = sum(1 for v in later if v <= n) - sum(1 for v in later if v > n)
-            coeffs.append(Fraction(c))
-        eq_rows = ((tuple(coeffs), Fraction(-sum(coeffs))),)
+            coeffs.append(c)
+        eq_rows = ((tuple(coeffs), -sum(coeffs)),)
     return _ChainSpace(tuple(windows), 2 * n - 1, eq_rows), labels, signs
 
 
@@ -416,7 +416,7 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
 
     def delta_coeffs(row: int, col: int):
         # x_{N+col} - x_row = offset + sum(g2[:col-1]) - sum(g1[:row-1])
-        c = [Fraction(0)] * nv
+        c = [0] * nv
         for i in range(col - 1):
             c[ng + i] += 1
         for i in range(row - 1):
@@ -429,19 +429,19 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
     prev = None
     for row, col, q in order.labels:
         c = [q * v for v in delta_coeffs(row, col)]
-        ge_rows.append((c, Fraction(1)))  # sign consistency, slack-1
+        ge_rows.append((c, 1))  # sign consistency, slack-1
         if prev is not None:
-            ge_rows.append(([a - b for a, b in zip(c, prev)], Fraction(1)))
+            ge_rows.append(([a - b for a, b in zip(c, prev)], 1))
         prev = c
     eq_rows = []
     if balanced:
-        coeffs = [Fraction(0)] * nv
+        coeffs = [0] * nv
         for i in range(ng):
-            coeffs[i] = Fraction(-(n - 1 - i))      # party-one gaps
-            coeffs[ng + i] = Fraction(n - 1 - i)    # party-two gaps
-        coeffs[2 * ng] = Fraction(n)
-        coeffs[2 * ng + 1] = Fraction(-n)
-        eq_rows.append((coeffs, Fraction(0)))
+            coeffs[i] = -(n - 1 - i)      # party-one gaps
+            coeffs[ng + i] = n - 1 - i    # party-two gaps
+        coeffs[2 * ng] = n
+        coeffs[2 * ng + 1] = -n
+        eq_rows.append((coeffs, 0))
     y = solve_feasibility(nv, ge_rows=ge_rows, eq_rows=eq_rows)
     if y is None:
         return None

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from syncpaths.cli import main
 
 
@@ -102,6 +104,58 @@ def test_encode(capsys):
     payload = json.loads(out)
     assert payload["code"] == "2,2,4,4"
     assert payload["edges"] == [[1, 2], [3, 4]]
+
+
+def _exit_code(argv, capsys):
+    """Exit code and stderr of main(); argparse rejections raise SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+KN3 = ("--family", "kn", "--n", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (("encode", *KN3, "--x", "0,1,3", "--eps", "nan"), "--eps: must be finite and > 0"),
+        (("encode", *KN3, "--x", "0,1,3", "--eps", "inf"), "--eps: must be finite and > 0"),
+        (("simulate", *KN3, "--x", "0,1,3", "--eps", "-1"), "--eps: must be finite and > 0"),
+        (("simulate", *KN3, "--x", "nan,0,1"), "--x values must be finite, got nan"),
+        (("simulate", *KN3, "--x", "0,1,inf"), "--x values must be finite, got inf"),
+        (("simulate", *KN3, "--x", "0,1/0,3"), "--x values must be finite, got 1/0"),
+        (
+            ("simulate", *KN3, "--x", "0,1,3", "--flow", "kuramoto", "--step", "nan"),
+            "--step: must be finite and > 0",
+        ),
+        (
+            ("simulate", *KN3, "--x", "0,1,3", "--flow", "kuramoto", "--step", "0"),
+            "--step: must be finite and > 0",
+        ),
+        (
+            ("simulate", *KN3, "--x", "0,0.1,0.3", "--flow", "kuramoto", "--sigma", "inf"),
+            "--sigma: must be finite and > 0",
+        ),
+    ],
+)
+def test_invalid_numbers_rejected_at_entry(argv, fault, capsys):
+    code, err = _exit_code(argv, capsys)
+    assert code == 2
+    assert fault in err
+    assert "Traceback" not in err
+
+
+def test_x_file_values_must_be_finite(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"family": "kn", "n": 3, "values": [0, NaN, 2]}')
+    code, err = _exit_code(("simulate", *KN3, "--x-file", str(path)), capsys)
+    assert code == 2
+    assert "--x-file values must be finite, got nan" in err
 
 
 def test_diagram_counts(capsys):

@@ -121,6 +121,27 @@ def test_admissible_path_counts():
         count_admissible_paths(d, (9, 9, 9, 9))
 
 
+def test_path_counts_one_dp_per_diagram():
+    # every K_{3,3} start against a memoized recursion over successors_knn,
+    # which uses neither the arrows nor the level order
+    from functools import lru_cache
+
+    d = build_diagram(bipartite(3))
+
+    @lru_cache(maxsize=None)
+    def paths(code):
+        if code == d.sink:
+            return 1
+        return sum(paths(target) for _site, _sign, target in successors_knn(code))
+
+    counts = [count_admissible_paths(d, s) for s in d.starts]
+    assert counts == [paths(s) for s in d.starts]
+    table = d._path_counts
+    assert count_admissible_paths(d, d.starts[0]) == counts[0]
+    assert d._path_counts is table  # computed once, kept with the diagram
+    assert build_diagram(bipartite(3))._path_counts is not table
+
+
 def test_maximal_path_lengths():
     d = build_diagram(complete(4))
     # every arrow raises the level by one and the sink is at level 6

@@ -67,6 +67,8 @@ def test_sync_subnetwork_rejects_bad_eps():
     cfg = Configuration(complete(2), (0, 1))
     with pytest.raises(ValueError):
         sync_subnetwork(cfg, 0)
+    with pytest.raises(ValueError):
+        sync_subnetwork(cfg, float("nan"))
 
 
 def test_sync_subnetwork_never_intra_party():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -28,6 +30,10 @@ from syncpaths import reference
 TABLE1_ROW1 = ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3))
 
 
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
 def test_feasible_table_row_one():
     order = IncrementOrder(Family.COMPLETE, 4, TABLE1_ROW1)
     witness = feasible(order)
@@ -40,6 +46,34 @@ def test_counterexample_infeasible():
     order = path_to_ordering_kn((1, 2, 3, 4), (1, 3, 2, 2, 1, 1))
     assert order.labels == ((1, 1), (3, 1), (2, 1), (2, 2), (1, 2), (1, 3))
     assert feasible(order) is None
+
+
+def test_k5_witnesses_pinned():
+    # feasible() on every K5 jump path from the identity code: the exact
+    # witness values (None when infeasible) are those of the rational
+    # tableau, so a changed pivot sequence fails here
+    from syncpaths.diagram import successors_kn
+
+    paths = []
+
+    def walk(code, sites):
+        nxt = successors_kn(code)
+        if not nxt:
+            paths.append(tuple(sites))
+        for site, target in nxt:
+            walk(target, sites + [site])
+
+    walk((1, 2, 3, 4, 5), [])
+    witnesses = []
+    for sites in paths:
+        config = feasible(path_to_ordering_kn((1, 2, 3, 4, 5), sites))
+        witnesses.append(None if config is None else [str(v) for v in config.values])
+    assert len(paths) == 768
+    assert sum(w is None for w in witnesses) == 654
+    assert witnesses[:2] == [["0", "1", "3", "7", "15"], ["0", "2", "5", "11", "21"]]
+    assert _sha256_json(witnesses) == (
+        "7e56d5ea4d77bd4bad97d3cdee60c036215105c08c89c0c7b118ad7a2b81ab91"
+    )
 
 
 def test_path_to_ordering_rejects_inadmissible():
@@ -201,6 +235,9 @@ def test_knn_ordering_reflection_symmetry():
 def test_knn_ordering_enumeration_n3_regression():
     rows = enumerate_realizable_orderings_knn(3)
     assert len(rows) == 3504  # frozen from exact enumeration
+    assert _sha256_json(sorted(rows)) == (
+        "e60e0ef0ee02c4be04a604093327d7569f42f99bd6a206fce0660e7fbc90418b"
+    )
     rowset = set(rows)
     assert len(rowset) == 3504
     for arr, labels in rowset:
@@ -218,6 +255,9 @@ def test_knn_balanced_n3_regression():
     # exact balance is non-degenerate from party size 3 on
     rows = enumerate_realizable_orderings_knn(3, balanced=True)
     assert len(rows) == 312  # frozen from exact enumeration
+    assert _sha256_json(sorted(rows)) == (
+        "a72786433791a99f3846de0a0a6b09deb18120ac70dfb4837c489223d44c5826"
+    )
     rowset = set(rows)
     for arr, labels in rowset:
         assert _mirror_row(3, arr, labels) in rowset
