@@ -25,8 +25,14 @@ from .codes import (
     kn_code_text,
     knn_code_text,
 )
-from .errors import NotTypicalError, SyncPathsError, UnsynchronizedError
+from .errors import NotTypicalError, SizeGuardError, SyncPathsError, UnsynchronizedError
 from .graphs import Configuration, Edge, Family, GraphSpec, laplacian
+
+# Upper bound on the RK4 steps a Kuramoto horizon may need, checked before the
+# kernel starts.  The largest bound the tests, the verify checks and the
+# benchmark compute is 1474522 (`simulate --family kn --n 4 --flow kuramoto
+# --seed 7 --eps 0.001`); the benchmark's K_{3,3} run at eps 1e-3 needs 1426476.
+MAX_RK4_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -359,7 +365,13 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
     else:
         worst = max([*gaps, eps])  # a single vertex has no pairs
         horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
-    max_steps = int(math.ceil(horizon / step)) + 1
+    steps = horizon / step
+    if steps > MAX_RK4_STEPS:
+        raise SizeGuardError(
+            f"horizon {horizon:.3g} at step {step:.3g} needs {steps:.3g} RK4 steps, "
+            f"above the guard {MAX_RK4_STEPS}"
+        )
+    max_steps = int(math.ceil(steps)) + 1
 
     ev_t, ev_p, status, _, _ = _kernels.integrate_events(
         x0, params.sigma, eps, n_party, step, params.crossing_tol, max_steps, ends, active0

@@ -1,125 +1,62 @@
-"""Acceptance suite: one test per release criterion, tolerances pinned.
+"""Acceptance suite: the release gate of ``syncpaths.verify`` in full mode.
 
-Each test prints a one-line PASS marker (visible with -s / -rA).  Two
-criteria come with published reference values that exact computation
-refutes (the bipartite n=2 ordering table and the complete-family asymptotic
-windows).  Their tests assert the exact values, derived independently of the
-code under test, and assert that the published values fail.  The analysis is
-in those tests' docstrings and in the README section "Reference-table
-discrepancies"; the verification CLI reports the same two checks as
-documented discrepancies.
+``test_release_check`` runs every check of ``verify.CHECKS`` with
+``quick=False``; each must pass except the two documented discrepancies,
+whose failures and detail strings are pinned.  Those two checks compare
+against published reference values that exact computation refutes (the
+bipartite n=2 ordering table and the complete-family asymptotic windows).
+``test_c06_knn_ordering_table`` and ``test_c13_kn_asymptotic_window`` assert
+the exact values, derived independently of the code under test, and assert
+that the published values fail.  The analysis is in those tests' docstrings
+and in the README section "Reference-table discrepancies".
 """
 
 import math
-import os
-import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from syncpaths import reference
-from syncpaths.codes import (
-    catalan,
-    enumerate_phi_n,
-    enumerate_phi_nn,
-    encode_kn,
-    encode_knn,
-    narayana_count,
-)
-from syncpaths.diagram import build_diagram, count_admissible_paths, export_dot
-from syncpaths.distributions import f_kn, f_knn, sloane_prefix_check, summary
-from syncpaths.errors import NotTypicalError
-from syncpaths.flows import (
-    KuramotoParams,
-    cross_party_crossing_times,
-    kuramoto_sequence,
-    laplacian_trajectory_kn,
-    laplacian_trajectory_knn,
-    switching_times_kn,
-)
-from syncpaths.graphs import Configuration, Family, bipartite, complete, laplacian
+from syncpaths.diagram import build_diagram, export_dot
+from syncpaths.distributions import f_kn, summary
+from syncpaths.graphs import Family, bipartite
 from syncpaths.realizability import (
-    GOLOMB_TABLE,
     IncrementOrder,
-    count_realizable_paths_kn,
-    enumerate_realizable_orderings_kn,
     enumerate_realizable_orderings_knn,
     feasible,
-    golomb_bounds,
-    path_to_ordering_kn,
     verify_witness,
 )
-from syncpaths.verify import _bisect_crossings, _reorder_gap
-from syncpaths.witness import witness_kn, witness_knn
+from syncpaths.verify import CHECKS, DOCUMENTED_DISCREPANCIES, report_to_json, run_verify
 
-SEED = 20260808
+# Full-mode details of the checks that compare against refuted published values.
+DISCREPANCY_DETAILS = {
+    "knn2_ordering_table": (
+        "documented discrepancy: exact enumeration yields 24 rows (6 beyond the "
+        "20-row table, 2 table rows infeasible); balanced-exact yields 0 (ties are "
+        "forced at n=2)"
+    ),
+    "asymptotic_shape": (
+        "bipartite n=8 exact (argmax 51); documented discrepancy for the complete "
+        "family: exact n=60 argmax ratio 0.8379 and mean ratio 0.8141 lie outside "
+        "the expected [0.60,0.66]/[0.50,0.55]"
+    ),
+}
 
 
 def report(num, text):
     print(f"[criterion {num:02d}] PASS: {text}")
 
 
-def test_c01_golomb_table():
-    t0 = time.perf_counter()
-    counts = [count_realizable_paths_kn(n) for n in range(1, 6)]
-    elapsed = time.perf_counter() - t0
-    assert counts == [1, 1, 2, 10, 114]
-    assert elapsed < 60.0
-    report(1, f"realizable path counts {counts} in {elapsed:.1f}s")
-
-
-@pytest.mark.skipif(
-    not os.environ.get("SYNCPATHS_STRETCH"),
-    reason="non-gating stretch target; set SYNCPATHS_STRETCH=1 to run",
-)
-def test_c01_stretch_golomb_n6():
-    t0 = time.perf_counter()
-    count = count_realizable_paths_kn(6, jobs=None)  # SYNCPATHS_THREADS, else os.cpu_count()
-    elapsed = time.perf_counter() - t0
-    assert count == 2608
-    assert elapsed < 1800.0
-    report(1, f"stretch: 2608 classes at n=6 in {elapsed:.0f}s")
-
-
-def test_c02_kn4_ordering_table():
-    orders = set(enumerate_realizable_orderings_kn(4))
-    assert orders == set(reference.KN4_ORDERINGS)
-    counterexample = path_to_ordering_kn((1, 2, 3, 4), (1, 3, 2, 2, 1, 1))
-    assert feasible(counterexample) is None
-    report(2, "ten orderings match; contradictory jump path judged infeasible")
-
-
-def test_c03_admissible_counts():
-    assert count_admissible_paths(build_diagram(complete(4)), (1, 2, 3, 4)) == 16
-    assert count_admissible_paths(build_diagram(complete(3)), (1, 2, 3)) == 2
-    report(3, "admissible path counts 16 (n=4) and 2 (n=3)")
-
-
-def test_c04_kn_length_table():
-    t0 = time.perf_counter()
-    for n, row in reference.KN_LENGTH_ROWS.items():
-        assert f_kn(n).counts == row
-    for n in range(2, 13):
-        assert f_kn(n).total() == catalan(n)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0
-    report(4, f"rows 2..8 exact, Catalan sums to n=12, {elapsed:.2f}s")
-
-
-def test_c05_knn_length_table():
-    t0 = time.perf_counter()
-    for n, row in reference.KNN_LENGTH_ROWS.items():
-        assert f_knn(n).counts == row
-    for n in range(1, 9):
-        dist = f_knn(n)
-        assert dist.total() == narayana_count(n)
-        assert dist.counts[-1] == math.comb(2 * n, n)
-        assert sloane_prefix_check(n)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
-    report(5, f"rows 2..8 exact with sums/endpoints/prefixes, {elapsed:.1f}s")
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_release_check(name, check):
+    result = check(False)
+    assert result.name == name
+    if name in DOCUMENTED_DISCREPANCIES:
+        assert not result.passed
+        assert result.detail == DISCREPANCY_DETAILS[name]
+    else:
+        assert result.passed, result.detail
 
 
 # Bipartite n=2 rows, derived by hand (see test_c06).  Row format as in
@@ -215,169 +152,6 @@ def test_c06_knn_ordering_table():
     report(6, "24 exact rows (published 20 minus 2 impossible plus 6); 0 balanced")
 
 
-def test_c07_diagram_level_consistency():
-    for n in range(2, 7):
-        sizes = build_diagram(complete(n)).level_sizes()
-        assert tuple(reversed(sizes)) == f_kn(n).counts
-    for n in range(1, 5):
-        sizes = build_diagram(bipartite(n)).level_sizes()
-        assert tuple(reversed(sizes)) == f_knn(n).counts
-    report(7, "diagram level sizes equal length distributions")
-
-
-def test_c08_witness_roundtrips():
-    t0 = time.perf_counter()
-    eps_set = (Fraction(1), Fraction(1, 100))
-    total = 0
-    for n in range(1, 7):
-        codes = enumerate_phi_n(n)
-        if n == 6:
-            assert len(codes) == 132
-        for code in codes:
-            for eps in eps_set:
-                assert encode_kn(witness_kn(code, eps), eps) == code
-                total += 1
-    for n in range(1, 5):
-        codes = enumerate_phi_nn(n)
-        if n == 4:
-            assert len(codes) == 1764
-        for code in codes:
-            for eps in eps_set:
-                assert encode_knn(witness_knn(code, eps), eps) == code
-                total += 1
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
-    report(8, f"{total} exact roundtrips in {elapsed:.1f}s")
-
-
-def test_c09_eps_invariance():
-    rng = np.random.default_rng(SEED)
-    eps, eps2 = 0.1, 0.003
-    for n in range(3, 7):
-        done = 0
-        while done < 100:
-            x = np.sort(rng.random(n))
-            try:
-                a = switching_times_kn(Configuration(complete(n), tuple(x)), eps)
-                b = switching_times_kn(
-                    Configuration(complete(n), tuple(x * (eps2 / eps))), eps2
-                )
-            except NotTypicalError:
-                continue
-            assert a.edge_order() == b.edge_order()
-            done += 1
-    report(9, "event order invariant under (0.1 -> 0.003) threshold scaling")
-
-
-def test_c10_flow_exactness():
-    rng = np.random.default_rng(SEED + 1)
-    step = 1e-3
-    worst = 0.0
-    for n in range(2, 9):
-        for spec, closed in (
-            (complete(n), laplacian_trajectory_kn),
-            (bipartite(n), laplacian_trajectory_knn),
-        ):
-            x = rng.random(spec.vertex_count)
-            if spec.family.value == "knn":
-                x = np.concatenate([np.sort(x[:n]), np.sort(x[n:])])
-            else:
-                x = np.sort(x)
-            cfg = Configuration(spec, tuple(x))
-            mat = laplacian(spec).astype(np.float64)
-            state = cfg.as_array()
-            t = 0.0
-            for _ in range(int(round(5.0 / step))):
-                k1 = mat @ state
-                k2 = mat @ (state + 0.5 * step * k1)
-                k3 = mat @ (state + 0.5 * step * k2)
-                k4 = mat @ (state + step * k3)
-                state = state + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                t += step
-                worst = max(worst, float(np.max(np.abs(state - closed(cfg, t).as_array()))))
-    assert worst < 1e-8
-
-    worst_t = 0.0
-    for _ in range(12):
-        n = int(rng.integers(2, 5))
-        x = rng.random(2 * n) * 3.0
-        cfg = Configuration(
-            bipartite(n), tuple(np.concatenate([np.sort(x[:n]), np.sort(x[n:])]))
-        )
-        for row in range(1, n + 1):
-            for col in range(1, n + 1):
-                got = cross_party_crossing_times(cfg, 0.25, row, col)
-                ref = _bisect_crossings(cfg, 0.25, row, col)
-                assert len(got) == len(ref)
-                for a, b in zip(got, ref):
-                    worst_t = max(worst_t, abs(a - b))
-    assert worst_t < 1e-10
-    report(10, f"rk4 sup error {worst:.1e}; crossing-time deviation {worst_t:.1e}")
-
-
-def test_c11_kuramoto_consistency():
-    rng = np.random.default_rng(SEED + 2)
-    eps = 1e-3
-    params = KuramotoParams(sigma=1.0)
-    site_paths = {
-        tuple(n for n, _k in order) for order in enumerate_realizable_orderings_kn(4)
-    }
-    assert len(site_paths) == 10
-    matches = 0
-    mismatch_gaps = []
-    done = 0
-    while done < 200:
-        u = np.sort(rng.random(4))
-        x = 0.01 * (u - u.mean())  # inside the pi/4 * 0.5 neighborhood
-        cfg = Configuration(complete(4), tuple(x))
-        try:
-            lin = switching_times_kn(cfg, eps)
-        except NotTypicalError:
-            continue
-        if len(lin.events) != 6:
-            continue  # resample until the path starts at the identity code
-        kur = kuramoto_sequence(cfg, params, eps)
-        done += 1
-        assert kur.jump_sites() in site_paths
-        if kur.edge_order() == lin.edge_order():
-            matches += 1
-        else:
-            mismatch_gaps.append(_reorder_gap(cfg, kur.edge_order(), lin.edge_order()))
-    assert matches >= 195
-    assert all(g < 1e-6 for g in mismatch_gaps)
-    report(
-        11,
-        f"{matches}/200 nonlinear paths equal the linear path; "
-        f"{len(mismatch_gaps)} near-tie deviations",
-    )
-
-
-def test_c12_golomb_bounds():
-    # the factorial lower bound is attained at n = 3 (both sides are 2, the
-    # same tightness the thrall(3) clause asserts); it is strict from n = 4
-    golomb = {n: count_realizable_paths_kn(n) for n in (3, 4, 5)}
-    for n in (3, 4, 5):
-        b = golomb_bounds(n)
-        if n == 3:
-            assert b.lower == golomb[n]
-        else:
-            assert b.lower < golomb[n]
-        assert golomb[n] <= b.upper_thrall <= b.upper_factorial
-    assert golomb_bounds(3).upper_thrall == 2
-    assert golomb_bounds(4).upper_thrall == 12
-    report(12, "bound chain holds; thrall tight at n=3, 12 at n=4")
-
-
-def test_c13_knn_asymptotic_shape():
-    dist = f_knn(8)
-    assert dist.counts == reference.KNN_LENGTH_ROWS[8]
-    stats = summary(dist)
-    assert stats.modes == (51,)
-    exact_mean = Fraction(sum(l * c for l, c in enumerate(dist.counts)), dist.total())
-    assert stats.mean == exact_mean
-    report(13, f"bipartite n=8: argmax 51, exact mean {float(exact_mean):.4f}")
-
-
 def _dyck_area_counts(n):
     """Dyck paths of semilength n by area A (sum of the heights before each up-step).
 
@@ -445,12 +219,29 @@ def test_c13_kn_asymptotic_window():
 
 
 def test_c14_determinism():
-    from syncpaths.verify import report_to_json, run_verify
-
     sink = lambda *_args, **_kw: None
-    r1 = report_to_json(run_verify(quick=True, echo=sink))
+    quick = run_verify(quick=True, echo=sink)
+    r1 = report_to_json(quick)
     r2 = report_to_json(run_verify(quick=True, echo=sink))
     assert r1 == r2
+    assert [(c["name"], c["passed"]) for c in quick["checks"]] == [
+        ("golomb_counts", True),
+        ("golomb_stretch_n6", True),
+        ("kn4_ordering_table", True),
+        ("admissible_counts", True),
+        ("kn_length_rows", True),
+        ("knn_length_rows", True),
+        ("knn2_ordering_table", False),
+        ("diagram_level_consistency", True),
+        ("witness_roundtrips", True),
+        ("eps_invariance", True),
+        ("flow_exactness", True),
+        ("kuramoto_consistency", True),
+        ("golomb_bounds", True),
+        ("asymptotic_shape", True),  # the bipartite n=8 statistics alone
+        ("determinism", True),
+    ]
+    assert quick["documented_discrepancies"] == ["knn2_ordering_table"]
     d1 = export_dot(build_diagram(bipartite(2)))
     d2 = export_dot(build_diagram(bipartite(2)))
     assert d1 == d2

@@ -56,6 +56,17 @@ def test_simulate_seeded_deterministic(capsys):
     assert out1 == out2
 
 
+def test_simulate_kuramoto_step_guard(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        "simulate", "--family", "kn", "--n", "4", "--flow", "kuramoto", "--seed", "7",
+        "--eps", "0.001", "--step", "1e-300", capsys=capsys,
+    )
+    assert code == 3 and out == ""
+    assert "RK4 steps, above the guard" in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0  # refused before the kernel starts
+
+
 def test_simulate_kuramoto_path_in_diagram(capsys):
     code, out, _ = run_cli(
         "simulate", "--family", "kn", "--n", "4", "--seed", "7",
