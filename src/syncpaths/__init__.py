@@ -26,6 +26,9 @@ from .codes import (
     enumerate_phi_n,
     enumerate_phi_nn,
     narayana_count,
+    start_codes_knn,
+    successors_kn,
+    successors_knn,
     to_polyomino,
 )
 from .flows import (
@@ -46,9 +49,6 @@ from .diagram import (
     count_admissible_paths,
     export_dot,
     export_json,
-    start_codes_knn,
-    successors_kn,
-    successors_knn,
 )
 from .realizability import (
     IncrementOrder,

@@ -1,9 +1,9 @@
 """Command-line interface: simulate | encode | diagram | count | dist | witness | verify.
 
 Exit codes: 0 success, 2 invalid or degenerate input, 3 resource guard
-exceeded, 1 internal error or failed verification.  Thread count for the
-realizable-path search comes from SYNCPATHS_THREADS (default
-os.cpu_count()).
+exceeded, 1 internal error or failed verification.  `count --jobs` sets the
+worker processes of the realizable-path search (default os.cpu_count(), at
+most that many are started).
 """
 
 from __future__ import annotations
@@ -16,19 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (
-    catalan,
-    kn_code_text,
-    knn_code_text,
-    narayana_count,
-    parse_code_text,
-    encode_kn,
-    encode_knn,
-    decode_kn,
-    decode_knn,
-)
+from .codes import CODES, parse_code_text
 from .diagram import build_diagram, count_admissible_paths, export_dot, export_json
-from .distributions import density_export, f_kn, f_knn, summary
+from .distributions import density_export, length_distribution, summary
 from .errors import InvalidCodeError, NotTypicalError, SizeGuardError, SyncPathsError
 from .flows import (
     KuramotoParams,
@@ -63,6 +53,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -155,14 +152,9 @@ def cmd_simulate(args) -> int:
 def cmd_encode(args) -> int:
     spec = GraphSpec(_family(args.family), args.n)
     config = Configuration(spec, _parse_values(args.x))
-    if spec.family is Family.COMPLETE:
-        code = encode_kn(config, args.eps)
-        text = kn_code_text(code)
-    else:
-        code = encode_knn(config, args.eps)
-        text = knn_code_text(code)
+    family = CODES[spec.family]
     payload = {
-        "code": text,
+        "code": family.text(family.encode(config, args.eps)),
         "edges": json.loads(edges_to_json(sync_subnetwork(config, args.eps))),
     }
     _write(json.dumps(payload) + "\n", args.out)
@@ -184,12 +176,13 @@ def cmd_diagram(args) -> int:
 
 def cmd_count(args) -> int:
     spec = GraphSpec(_family(args.family), args.n)
-    report: dict = {"family": spec.family.value, "n": spec.n}
+    diagram = build_diagram(spec)
+    report: dict = {
+        "family": spec.family.value,
+        "n": spec.n,
+        "admissible_paths": str(sum(count_admissible_paths(diagram, s) for s in diagram.starts)),
+    }
     if spec.family is Family.COMPLETE:
-        diagram = build_diagram(spec)
-        report["admissible_paths"] = str(
-            count_admissible_paths(diagram, tuple(range(1, spec.n + 1)))
-        )
         if spec.n > args.max_count_n:
             report["realizable_paths"] = None
             if spec.n in GOLOMB_TABLE:
@@ -203,12 +196,9 @@ def cmd_count(args) -> int:
                 "upper_thrall": str(bounds.upper_thrall),
                 "upper_factorial": str(bounds.upper_factorial),
             }
-        report["codes"] = str(catalan(spec.n))
+        report["codes"] = str(len(diagram.vertices))
     else:
-        diagram = build_diagram(spec)
-        total = sum(count_admissible_paths(diagram, s) for s in diagram.starts)
-        report["admissible_paths"] = str(total)
-        report["codes"] = str(narayana_count(spec.n))
+        report["codes"] = str(len(diagram.vertices))
         report["start_codes"] = len(diagram.starts)
         report["interleaving_bound"] = str(knn_path_upper_bound(spec.n))
         if spec.n <= 3:
@@ -227,7 +217,7 @@ def cmd_dist(args) -> int:
     if args.bins:
         _write(density_export(spec.family, spec.n, args.bins), args.out)
         return 0
-    dist = f_kn(spec.n) if spec.family is Family.COMPLETE else f_knn(spec.n)
+    dist = length_distribution(spec.family, spec.n)
     stats = summary(dist)
     if args.format == "json":
         payload = json.loads(dist.to_json())
@@ -249,12 +239,8 @@ def cmd_witness(args) -> int:
     family = _family(args.family)
     code = parse_code_text(args.code, family)
     eps = Fraction(args.eps)  # decimal or p/q text, kept exact
-    if family is Family.COMPLETE:
-        config = witness_kn(code, eps)
-        roundtrip = encode_kn(config, eps) == code
-    else:
-        config = witness_knn(code, eps)
-        roundtrip = encode_knn(config, eps) == code
+    config = (witness_kn if family is Family.COMPLETE else witness_knn)(code, eps)
+    roundtrip = CODES[family].encode(config, eps) == code
     _write(config.to_json() + "\n", args.out)
     print(f"roundtrip {'confirmed' if roundtrip else 'FAILED'}", file=sys.stderr)
     return 0 if roundtrip else 1
@@ -321,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-count-n", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker processes (default and cap: os.cpu_count())")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("dist", help="length distribution and statistics")

@@ -10,18 +10,23 @@ omega)``: row ``n`` of party one is linked exactly to party-two columns
 ``alpha[n] .. omega[n]``.  Sentinels ``alpha = n+1`` / ``omega = 0`` encode
 empty rows.  Border pairs biject with staircase polyominoes counted by
 Narayana numbers.
+
+``CODES`` maps each family to one record of its code operations, so callers
+look an operation up instead of branching on the family.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidCodeError
+from .errors import InvalidCodeError, NotTypicalError
 from .graphs import Configuration, Edge, Family
 
 KnCode = tuple[int, ...]
 KnnCode = tuple[tuple[int, ...], tuple[int, ...]]
+Code = KnCode | KnnCode
+Move = tuple[int, int, Code]  # (site, sign, new code); sign 0 for the complete family
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +141,31 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _kn_level(code: KnCode) -> int:
+    return sum(v - i for i, v in enumerate(code, start=1))
+
+
 def dyck_area(code: KnCode) -> int:
     """Number of edges of the decoded subnetwork: sum of code[n] - n."""
+    return _kn_level(validate_kn(code))
+
+
+def successors_kn(code: KnCode) -> list[tuple[int, KnCode]]:
+    """Single-site bumps (site, new code); exactly the sites with code[n] < code[n+1]."""
     code = validate_kn(code)
-    return sum(v - i for i, v in enumerate(code, start=1))
+    out = []
+    for i in range(len(code) - 1):
+        if code[i] < code[i + 1]:
+            out.append((i + 1, code[: i] + (code[i] + 1,) + code[i + 1 :]))
+    return out
+
+
+def apply_edge_kn(code: KnCode, edge: Edge) -> tuple[int, int, KnCode]:
+    """(site, sign, new code) after the edge joins; edges must arrive in reach order."""
+    u, v = edge
+    if code[u - 1] != v - 1:
+        raise NotTypicalError(f"edge {edge} is not the next reach step of {code}")
+    return u, 0, code[: u - 1] + (v,) + code[u:]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +234,58 @@ def narayana_count(n: int) -> int:
     return math.comb(2 * n + 1, n + 1) * math.comb(2 * n + 1, n) // (2 * n + 1)
 
 
+def _knn_level(code: KnnCode) -> int:
+    alpha, omega = code
+    return sum(w - a + 1 for a, w in zip(alpha, omega) if w >= a)
+
+
+def successors_knn(code: KnnCode) -> list[tuple[int, int, KnnCode]]:
+    """Single-site moves (site, sign, new code) staying inside the code family."""
+    alpha, omega = validate_knn(code)
+    n = len(alpha)
+    out = []
+    for i in range(n):
+        if alpha[i] > 1 and (i == 0 or alpha[i] - 1 >= alpha[i - 1]):
+            out.append((i + 1, -1, (alpha[: i] + (alpha[i] - 1,) + alpha[i + 1 :], omega)))
+        if omega[i] < n and (i == n - 1 or omega[i] + 1 <= omega[i + 1]):
+            out.append((i + 1, +1, (alpha, omega[: i] + (omega[i] + 1,) + omega[i + 1 :])))
+    return out
+
+
+def apply_edge_knn(code: KnnCode, edge: Edge) -> tuple[int, int, KnnCode]:
+    """(site, sign, new code): the new column must extend one end of its row."""
+    alpha, omega = code
+    row, col = edge[0], edge[1] - len(alpha)
+    if col == alpha[row - 1] - 1:
+        return row, -1, (alpha[: row - 1] + (col,) + alpha[row:], omega)
+    if col == omega[row - 1] + 1:
+        return row, +1, (alpha, omega[: row - 1] + (col,) + omega[row:])
+    raise NotTypicalError(f"edge {edge} does not border row {row} of {code}")
+
+
+def start_codes_knn(n: int) -> list[tuple[KnnCode, bool]]:
+    """Empty-subnetwork codes with a flag for balance-incompatible ones.
+
+    The two flagged codes encode party layouts whose party means are forced
+    apart (one party entirely below the other).
+    """
+    starts = []
+    flagged = {(1,) * n, (n + 1,) * n}
+
+    def alphas(prefix: list[int]) -> None:
+        if len(prefix) == n:
+            alpha = tuple(prefix)
+            starts.append(((alpha, tuple(a - 1 for a in alpha)), alpha in flagged))
+            return
+        for v in range(prefix[-1] if prefix else 1, n + 2):
+            prefix.append(v)
+            alphas(prefix)
+            prefix.pop()
+
+    alphas([])
+    return starts
+
+
 # ---------------------------------------------------------------------------
 # staircase polyominoes
 # ---------------------------------------------------------------------------
@@ -250,3 +328,47 @@ def validate_polyomino(
         raise InvalidCodeError("borders must be nondecreasing")
     if any(lower[i] >= upper[i - 1] for i in range(1, p)):
         raise InvalidCodeError("connectivity violated: lower[n] must stay below upper[n-1]")
+
+
+# ---------------------------------------------------------------------------
+# one record of code operations per family
+# ---------------------------------------------------------------------------
+
+class CodeFamily(NamedTuple):
+    """The code operations that callers choose by graph family."""
+
+    encode: Callable[[Configuration, object], Code]
+    text: Callable[[Code], str]
+    level: Callable[[Code], int]  # decoded edge count; the code is not validated
+    apply_edge: Callable[[Code, Edge], Move]
+    successors: Callable[[Code], list[Move]]
+    codes: Callable[[int], list[Code]]  # every code for party size n
+    count: Callable[[int], int]  # len(codes(n)), in closed form
+    starts: Callable[[int], list[Code]]  # the empty-subnetwork codes
+    sink: Callable[[int], Code]  # the complete-subnetwork code
+
+
+CODES: dict[Family, CodeFamily] = {
+    Family.COMPLETE: CodeFamily(
+        encode=encode_kn,
+        text=kn_code_text,
+        level=_kn_level,
+        apply_edge=apply_edge_kn,
+        successors=lambda code: [(site, 0, nxt) for site, nxt in successors_kn(code)],
+        codes=enumerate_phi_n,
+        count=catalan,
+        starts=lambda n: [tuple(range(1, n + 1))],
+        sink=lambda n: (n,) * n,
+    ),
+    Family.BIPARTITE: CodeFamily(
+        encode=encode_knn,
+        text=knn_code_text,
+        level=_knn_level,
+        apply_edge=apply_edge_knn,
+        successors=successors_knn,
+        codes=enumerate_phi_nn,
+        count=narayana_count,
+        starts=lambda n: [code for code, _flag in start_codes_knn(n)],
+        sink=lambda n: ((1,) * n, (n,) * n),
+    ),
+}

@@ -17,14 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import (
-    KnCode,
-    KnnCode,
-    encode_kn,
-    encode_knn,
-    kn_code_text,
-    knn_code_text,
-)
+from .codes import CODES, Code, apply_edge_kn, apply_edge_knn, encode_kn, encode_knn
 from .errors import NotTypicalError, SizeGuardError, SyncPathsError, UnsynchronizedError
 from .graphs import Configuration, Edge, Family, GraphSpec, laplacian
 
@@ -80,9 +73,9 @@ class SyncEvent:
 class SyncSequence:
     spec: GraphSpec
     eps: float
-    initial_code: KnCode | KnnCode
+    initial_code: Code
     events: tuple[SyncEvent, ...]
-    final_code: KnCode | KnnCode
+    final_code: Code
 
     def jump_sites(self) -> tuple[int, ...]:
         return tuple(e.site for e in self.events)
@@ -91,9 +84,7 @@ class SyncSequence:
         return tuple(e.edge for e in self.events)
 
     def code_text(self, code) -> str:
-        if self.spec.family is Family.COMPLETE:
-            return kn_code_text(code)
-        return knn_code_text(code)
+        return CODES[self.spec.family].text(code)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -202,15 +193,13 @@ def switching_times_kn(config: Configuration, eps) -> SyncSequence:
     incs = _event_increments(config.values, eps)
 
     initial = encode_kn(config, eps)
-    code = list(initial)
+    code = initial
     events = []
-    for (u, v), inc in sorted(incs.items(), key=lambda kv: kv[1]):
+    for edge, inc in sorted(incs.items(), key=lambda kv: kv[1]):
         t = (math.log(inc) - math.log(eps)) / n
-        if code[u - 1] != v - 1:
-            raise SyncPathsError(f"edge {(u, v)} arrived out of reach order")
-        code[u - 1] = v
-        events.append(SyncEvent(t=t, site=u, sign=0, edge=(u, v)))
-    return SyncSequence(config.spec, float(eps), initial, tuple(events), tuple(code))
+        site, sign, code = apply_edge_kn(code, edge)
+        events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
+    return SyncSequence(config.spec, float(eps), initial, tuple(events), code)
 
 
 def switching_times_knn_balanced(config: Configuration, eps) -> SyncSequence:
@@ -244,7 +233,7 @@ def switching_times_knn_balanced(config: Configuration, eps) -> SyncSequence:
     events = []
     for edge, d in sorted(diffs.items(), key=lambda kv: abs(kv[1])):
         t = float((math.log(abs(d)) - math.log(eps)) / n)
-        site, sign, code = apply_edge_knn(code, edge, n)
+        site, sign, code = apply_edge_knn(code, edge)
         if sign != (1 if d > 0 else -1):
             raise SyncPathsError(f"edge {edge} joined from the side opposite its sign")
         events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
@@ -303,42 +292,14 @@ def order_parameter(config: Configuration) -> OrderParameter | tuple[OrderParame
             return OrderParameter(0.0, 0.0)
         return OrderParameter(r, cmath.phase(z))
 
-    if config.spec.family is Family.COMPLETE:
-        return summed(config.values)
-    return summed(config.party(1)), summed(config.party(2))
-
-
-def _monitored_pairs(spec: GraphSpec) -> list[Edge]:
-    return list(spec.edges())
-
-
-def apply_edge_kn(code: KnCode, edge: Edge) -> tuple[int, int, KnCode]:
-    """(site, sign, new code) after the edge joins; edges must arrive in reach order."""
-    u, v = edge
-    if code[u - 1] != v - 1:
-        raise NotTypicalError(f"edge {edge} is not the next reach step of {code}")
-    return u, 0, code[: u - 1] + (v,) + code[u:]
-
-
-def apply_edge_knn(code: KnnCode, edge: Edge, n: int) -> tuple[int, int, KnnCode]:
-    """(site, sign, new code): the new column must extend one end of its row."""
-    alpha, omega = code
-    row, col = edge[0], edge[1] - n
-    if col == alpha[row - 1] - 1:
-        return row, -1, (alpha[: row - 1] + (col,) + alpha[row:], omega)
-    if col == omega[row - 1] + 1:
-        return row, +1, (alpha, omega[: row - 1] + (col,) + omega[row:])
-    raise NotTypicalError(f"edge {edge} does not border row {row} of {code}")
+    parts = tuple(summed(group) for group in config.groups())
+    return parts if len(parts) == 2 else parts[0]
 
 
 def check_kuramoto_precondition(config: Configuration) -> None:
     """Phases must stay within pi/4 of their (party) mean for monotone contraction."""
     bound = math.pi / 4
-    if config.spec.family is Family.COMPLETE:
-        groups = [config.values]
-    else:
-        groups = [config.party(1), config.party(2)]
-    for vals in groups:
+    for vals in config.groups():
         mean = sum(float(v) for v in vals) / len(vals)
         if max(abs(float(v) - mean) for v in vals) >= bound:
             raise ValueError("phases must lie within pi/4 of the (party) mean")
@@ -354,7 +315,7 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
     n_party = 0 if spec.family is Family.COMPLETE else spec.n
     x0 = [float(v) for v in config.values]
 
-    pairs = _monitored_pairs(spec)
+    pairs = list(spec.edges())
     ends = [(u - 1, v - 1) for u, v in pairs]
     gaps = [abs(x0[u] - x0[v]) for u, v in ends]
     active0 = [gap <= eps for gap in gaps]
@@ -383,37 +344,11 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
     if status == 3:
         raise SyncPathsError("a synchronized pair desynchronized (outside monotone regime)")
 
-    if spec.family is Family.COMPLETE:
-        initial = encode_kn(config, eps)
-    else:
-        initial = encode_knn(config, eps)
-    code = initial
+    family = CODES[spec.family]
+    initial = code = family.encode(config, eps)
     events = []
     for t, p in zip(ev_t, ev_p):
         edge = pairs[p]
-        if spec.family is Family.COMPLETE:
-            site, sign, code = apply_edge_kn(code, edge)
-        else:
-            site, sign, code = apply_edge_knn(code, edge, spec.n)
+        site, sign, code = family.apply_edge(code, edge)
         events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
     return SyncSequence(spec, eps, initial, tuple(events), code)
-
-
-def replay_code_sequence(seq: SyncSequence):
-    """Codes visited along a sequence, including the initial one."""
-    spec = seq.spec
-    code = seq.initial_code
-    codes = [code]
-    for e in seq.events:
-        if spec.family is Family.COMPLETE:
-            _, _, code = apply_edge_kn(code, e.edge)
-        else:
-            _, _, code = apply_edge_knn(code, e.edge, spec.n)
-        codes.append(code)
-    return codes
-
-
-def sync_edges_of_code(spec: GraphSpec, code) -> frozenset[Edge]:
-    from .codes import decode_kn, decode_knn
-
-    return decode_kn(code) if spec.family is Family.COMPLETE else decode_knn(code)

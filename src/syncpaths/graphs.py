@@ -13,7 +13,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -58,15 +58,6 @@ class GraphSpec:
                 for v in range(self.n + 1, 2 * self.n + 1):
                     yield (u, v)
 
-    def is_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        if not (1 <= u < v <= self.vertex_count):
-            return False
-        if self.family is Family.COMPLETE:
-            return True
-        return u <= self.n < v
-
 
 def complete(n: int) -> GraphSpec:
     return GraphSpec(Family.COMPLETE, n)
@@ -102,8 +93,11 @@ class Configuration:
             raise ValueError("complete graphs have a single party")
         return self.values[:n] if which == 1 else self.values[n:]
 
-    def mean(self) -> Fraction:
-        return Fraction(sum(Fraction(v) for v in self.values), len(self.values))
+    def groups(self) -> tuple[tuple[Number, ...], ...]:
+        """The whole configuration (complete) or its two parties (bipartite)."""
+        if self.spec.family is Family.COMPLETE:
+            return (self.values,)
+        return self.party(1), self.party(2)
 
     def party_means(self) -> tuple[Fraction, Fraction]:
         p1, p2 = self.party(1), self.party(2)
@@ -114,14 +108,8 @@ class Configuration:
         )
 
     def is_ordered(self) -> bool:
-        """Nondecreasing overall (complete) or within each party (bipartite)."""
-        if self.spec.family is Family.COMPLETE:
-            seqs: tuple[Sequence[Number], ...] = (self.values,)
-        else:
-            seqs = (self.party(1), self.party(2))
-        return all(
-            all(a <= b for a, b in zip(s, s[1:])) for s in seqs
-        )
+        """Nondecreasing within each group (see groups)."""
+        return all(all(a <= b for a, b in zip(s, s[1:])) for s in self.groups())
 
     def is_balanced(self) -> bool:
         """Equal party means (bipartite only); exact comparison."""

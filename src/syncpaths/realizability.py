@@ -117,9 +117,12 @@ def _chain_feasible(space: _ChainSpace, chain: Sequence[int], tails: Iterable[in
     return tuple(v + 1 for v in y)
 
 
-def _magnitude(space: _ChainSpace, gaps: Sequence[Fraction], item: int) -> Fraction:
-    lo, hi = space.windows[item]
-    return sum(gaps[lo:hi], Fraction(0))
+def _magnitudes(space: _ChainSpace, gaps: Sequence[Fraction]) -> list[Fraction]:
+    """Every item's window sum over the witness gaps, from one prefix-sum pass."""
+    prefix = [Fraction(0)]
+    for g in gaps:
+        prefix.append(prefix[-1] + g)
+    return [prefix[hi] - prefix[lo] for lo, hi in space.windows]
 
 
 def _containment_masks(windows: Sequence[tuple[int, int]]) -> list[int]:
@@ -136,7 +139,8 @@ def _chain_dfs(space: _ChainSpace, on_complete, root_witness=None, prefix: tuple
     """Enumerate feasible full chains extending prefix; calls on_complete per chain.
 
     A node's witness is reused for any extension it already satisfies, so the
-    exact LP runs only when the next-smallest choice disagrees with it.
+    exact LP runs only when the next-smallest choice disagrees with it.  The
+    witness travels as its item magnitudes, computed once per witness.
     """
     n_items = len(space.windows)
     masks = _containment_masks(space.windows)
@@ -152,7 +156,7 @@ def _chain_dfs(space: _ChainSpace, on_complete, root_witness=None, prefix: tuple
 
     chain: list[int] = list(prefix)
 
-    def recurse(remaining: int, witness) -> None:
+    def recurse(remaining: int, mags) -> None:
         if remaining == 0:
             on_complete(tuple(chain))
             return
@@ -162,27 +166,26 @@ def _chain_dfs(space: _ChainSpace, on_complete, root_witness=None, prefix: tuple
             if not remaining & bit or masks[c] & remaining & ~bit:
                 continue
             rest = remaining & ~bit
-            w = witness
-            if w is not None:
-                mc = _magnitude(space, w, c)
-                ok = last < 0 or mc >= _magnitude(space, w, last) + 1
+            m = mags
+            if m is not None:
+                mc = m[c]
+                ok = last < 0 or mc >= m[last] + 1
                 if ok:
-                    for j in range(n_items):
-                        if rest & (1 << j) and _magnitude(space, w, j) < mc + 1:
-                            ok = False
-                            break
+                    above = mc + 1
+                    ok = all(m[j] >= above for j in range(n_items) if rest & (1 << j))
                 if not ok:
-                    w = None
-            if w is None:
+                    m = None
+            if m is None:
                 tails = [j for j in range(n_items) if rest & (1 << j)]
                 w = _chain_feasible(space, chain + [c], tails)
                 if w is None:
                     continue
+                m = _magnitudes(space, w)
             chain.append(c)
-            recurse(rest, w)
+            recurse(rest, m)
             chain.pop()
 
-    recurse(remaining0, root_witness)
+    recurse(remaining0, _magnitudes(space, root_witness))
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +241,22 @@ COUNT_LIMIT = 9  # the table above ends here; the search tree beyond is astronom
 _count_cache: dict[int, int] = {}
 
 
-def count_realizable_paths_kn(n: int, jobs: int | None = None, limit: int = COUNT_LIMIT) -> int:
-    """Number of feasible full increment orders = number of Golomb-ruler classes."""
+def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
+    """Number of feasible full increment orders = number of Golomb-ruler classes.
+
+    jobs worker processes split the search (default os.cpu_count()); the pool
+    never starts more than os.cpu_count(), since every worker is forked at once.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > limit:
-        raise SizeGuardError(f"counting is guarded to n <= {limit}")
+    if n > COUNT_LIMIT:
+        raise SizeGuardError(f"counting is guarded to n <= {COUNT_LIMIT}")
     if n in _count_cache:
         return _count_cache[n]
     if n <= 2:
         return 1
-    if jobs is None:
-        jobs = int(os.environ.get("SYNCPATHS_THREADS", str(os.cpu_count() or 1)))
+    cpus = os.cpu_count() or 1
+    jobs = cpus if jobs is None else min(jobs, cpus)
     space, _ = _kn_space(n)
     masks = _containment_masks(space.windows)
     n_items = len(space.windows)

@@ -29,9 +29,9 @@ from typing import Callable
 import numpy as np
 
 from . import reference
-from .codes import catalan, narayana_count, enumerate_phi_n, enumerate_phi_nn, encode_kn, encode_knn
+from .codes import CODES, catalan, narayana_count, enumerate_phi_n, enumerate_phi_nn
 from .diagram import build_diagram, count_admissible_paths, export_dot
-from .distributions import f_kn, f_knn, sloane_prefix_check, summary
+from .distributions import f_kn, f_knn, length_distribution, sloane_prefix_check, summary
 from .errors import NotTypicalError
 from .flows import (
     KuramotoParams,
@@ -169,12 +169,9 @@ def check_knn_ordering_table(quick: bool) -> CheckResult:
 
 def check_diagram_levels(quick: bool) -> CheckResult:
     ok = True
-    for n in range(2, 7):
-        sizes = build_diagram(complete(n)).level_sizes()
-        ok = ok and tuple(reversed(sizes)) == f_kn(n).counts
-    for n in range(1, 5):
-        sizes = build_diagram(bipartite(n)).level_sizes()
-        ok = ok and tuple(reversed(sizes)) == f_knn(n).counts
+    for spec in [*map(complete, range(2, 7)), *map(bipartite, range(1, 5))]:
+        sizes = build_diagram(spec).level_sizes()
+        ok = ok and tuple(reversed(sizes)) == length_distribution(spec.family, spec.n).counts
     return CheckResult(
         "diagram_level_consistency", ok, "level sizes match distributions"
     )
@@ -185,16 +182,14 @@ def check_witness_roundtrips(quick: bool) -> CheckResult:
     eps_set = (Fraction(1), Fraction(1, 100))
     count = 0
     ok = len(enumerate_phi_n(6)) == 132 and len(enumerate_phi_nn(4)) == 1764
-    for n in range(1, 7):
-        for code in enumerate_phi_n(n):
+    for spec, witness in [
+        *((complete(n), witness_kn) for n in range(1, 7)),
+        *((bipartite(n), witness_knn) for n in range(1, 5)),
+    ]:
+        record = CODES[spec.family]
+        for code in record.codes(spec.n):
             for eps in eps_set:
-                if encode_kn(witness_kn(code, eps), eps) != code:
-                    ok = False
-                count += 1
-    for n in range(1, 5):
-        for code in enumerate_phi_nn(n):
-            for eps in eps_set:
-                if encode_knn(witness_knn(code, eps), eps) != code:
+                if record.encode(witness(code, eps), eps) != code:
                     ok = False
                 count += 1
     passed, detail = _deadline(
@@ -234,10 +229,8 @@ def check_flow_exactness(quick: bool) -> CheckResult:
             (complete(n), laplacian_trajectory_kn),
             (bipartite(n), laplacian_trajectory_knn),
         ):
-            size = spec.vertex_count
-            x = np.sort(rng.random(size))
-            if spec.family.value == "knn":
-                x = np.concatenate([np.sort(x[: n]), np.sort(x[n:])])
+            # sorted as a whole, so each party is sorted too
+            x = np.sort(rng.random(spec.vertex_count))
             cfg = cur = Configuration(spec, tuple(x))
             t = 0.0
             for _ in range(int(round(5.0 / step))):
@@ -290,18 +283,17 @@ def _bisect_crossings(cfg: Configuration, eps: float, row: int, col: int):
     ts = np.linspace(0.0, 12.0, 48001)
     vals = gap(ts)
     out = []
-    for i in range(len(ts) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            flo = gap(lo)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if flo * gap(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-                    flo = gap(lo)
-            out.append(0.5 * (lo + hi))
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        flo = gap(lo)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if flo * gap(mid) <= 0:
+                hi = mid
+            else:
+                lo = mid
+                flo = gap(lo)
+        out.append(0.5 * (lo + hi))
     return [t for t in out if t > 1e-9]
 
 

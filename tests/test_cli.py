@@ -152,6 +152,7 @@ KN3 = ("--family", "kn", "--n", "3")
             ("simulate", *KN3, "--x", "0,0.1,0.3", "--flow", "kuramoto", "--sigma", "inf"),
             "--sigma: must be finite and > 0",
         ),
+        (("count", *KN3, "--jobs", "0"), "--jobs: must be >= 1"),
     ],
 )
 def test_invalid_numbers_rejected_at_entry(argv, fault, capsys):

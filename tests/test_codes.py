@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncpaths.codes import (
+    CODES,
     catalan,
     decode_kn,
     decode_knn,
@@ -24,8 +25,9 @@ from syncpaths.codes import (
     validate_knn,
     validate_polyomino,
 )
+from syncpaths.diagram import build_diagram
 from syncpaths.errors import InvalidCodeError
-from syncpaths.graphs import Configuration, Family, bipartite, complete, sync_subnetwork
+from syncpaths.graphs import Configuration, Family, GraphSpec, bipartite, complete, sync_subnetwork
 
 
 def test_encode_kn_examples():
@@ -184,3 +186,22 @@ def test_decode_encode_knn_random():
         )
         eps = float(rng.random() * 2 + 0.05)
         assert decode_knn(encode_knn(cfg, eps)) == sync_subnetwork(cfg, eps)
+
+
+@pytest.mark.parametrize(
+    "spec, decode", [(complete(5), decode_kn), (bipartite(3), decode_knn)], ids=["kn", "knn"]
+)
+def test_code_record_moves_agree(spec, decode):
+    # successors (the diagram's arrows) and apply_edge are written separately:
+    # each arrow must be the move apply_edge makes for the one edge it adds
+    record = CODES[spec.family]
+    for arrow in build_diagram(spec).arrows:
+        (edge,) = decode(arrow.target) - decode(arrow.source)
+        assert record.apply_edge(arrow.source, edge) == (arrow.site, arrow.sign, arrow.target)
+    for n in range(1, 5):
+        codes = record.codes(n)
+        assert record.count(n) == len(codes)
+        assert all(record.level(code) == len(decode(code)) for code in codes)
+        assert set(record.starts(n)) <= set(codes) and record.sink(n) in codes
+        assert all(record.level(start) == 0 for start in record.starts(n))
+        assert record.level(record.sink(n)) == GraphSpec(spec.family, n).edge_count

@@ -2,15 +2,12 @@ import json
 
 import pytest
 
-from syncpaths.codes import catalan, narayana_count
+from syncpaths.codes import catalan, narayana_count, start_codes_knn, successors_kn, successors_knn
 from syncpaths.diagram import (
     build_diagram,
     count_admissible_paths,
     export_dot,
     export_json,
-    start_codes_knn,
-    successors_kn,
-    successors_knn,
 )
 from syncpaths.distributions import f_kn, f_knn
 from syncpaths.errors import SizeGuardError

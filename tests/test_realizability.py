@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +103,24 @@ def test_count_matches_enumeration():
 
 def test_parallel_count_agrees():
     assert count_realizable_paths_kn(5, jobs=2) == 114
+
+
+def test_pool_workers_capped_at_cpu_count(monkeypatch):
+    # every pool worker is forked at once, so a huge jobs value must not reach
+    # the pool; a fake pool records max_workers and maps in this process
+    from syncpaths import realizability
+
+    seen = []
+
+    def fake_pool(max_workers):
+        seen.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(realizability, "ProcessPoolExecutor", fake_pool)
+    monkeypatch.setattr(realizability.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(realizability, "_count_cache", {})
+    assert count_realizable_paths_kn(5, jobs=10**6) == 114
+    assert seen == [3]
 
 
 def test_kn4_orderings_match_reference():
@@ -270,9 +290,7 @@ def test_knn_balanced_n3_regression():
 def test_knn_orderings_induce_admissible_paths():
     # every feasible ordering replays as a single-site diagram path from its
     # arrangement's start code down to the complete code
-    from syncpaths.codes import encode_knn
-    from syncpaths.diagram import start_codes_knn
-    from syncpaths.flows import apply_edge_knn
+    from syncpaths.codes import apply_edge_knn, encode_knn, start_codes_knn
 
     starts = {code for code, _flag in start_codes_knn(2)}
     for arr, labels in enumerate_realizable_orderings_knn(2):
@@ -285,7 +303,7 @@ def test_knn_orderings_induce_admissible_paths():
         code = encode_knn(witness, eps)
         assert code in starts
         for r, c, _q in labels:
-            _site, _sign, code = apply_edge_knn(code, (r, 2 + c), 2)
+            _site, _sign, code = apply_edge_knn(code, (r, 2 + c))
         assert code == ((1, 1), (2, 2))
 
 
