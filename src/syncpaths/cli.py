@@ -1,9 +1,11 @@
 """Command-line interface: simulate | encode | diagram | count | dist | witness | verify.
 
-Exit codes: 0 success, 2 invalid or degenerate input, 3 resource guard
-exceeded, 1 internal error or failed verification.  `count --jobs` sets the
-worker processes of the realizable-path search (default os.cpu_count(), at
-most that many are started).
+Exit codes: 0 success, 2 invalid or degenerate input (an unreadable or
+malformed file included), 3 resource guard exceeded, 1 internal error,
+failed verification, or a Kuramoto regime failure (exhausted horizon,
+desynchronized pair).  `count --jobs` sets the worker processes of the
+realizable-path search (default os.cpu_count(), at most that many are
+started).
 """
 
 from __future__ import annotations
@@ -45,22 +47,25 @@ from .verify import report_to_json, run_verify
 from .witness import witness_kn, witness_knn
 
 
-def _family(text: str) -> Family:
-    return Family(text)
+def _converter(parse, ok, requirement: str):
+    """An argparse type whose every rejection names the option and the requirement."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+_positive_float = _converter(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+_positive_int = _converter(int, lambda v: v >= 1, "must be >= 1")
+# decimal or p/q text, kept exact
+_positive_fraction = _converter(Fraction, lambda v: v > 0, "must be a decimal or p/q > 0")
 
 
 def _check_finite(values, source: str) -> tuple:
@@ -120,7 +125,7 @@ def sample_configuration(
 
 
 def cmd_simulate(args) -> int:
-    spec = GraphSpec(_family(args.family), args.n)
+    spec = GraphSpec(Family(args.family), args.n)
     if args.x:
         config = Configuration(spec, _parse_values(args.x))
     elif args.x_file:
@@ -150,7 +155,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    spec = GraphSpec(_family(args.family), args.n)
+    spec = GraphSpec(Family(args.family), args.n)
     config = Configuration(spec, _parse_values(args.x))
     family = CODES[spec.family]
     payload = {
@@ -162,7 +167,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    spec = GraphSpec(_family(args.family), args.n)
+    spec = GraphSpec(Family(args.family), args.n)
     diagram = build_diagram(spec)
     text = export_dot(diagram) if args.format == "dot" else export_json(diagram) + "\n"
     _write(text, args.out)
@@ -175,7 +180,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_count(args) -> int:
-    spec = GraphSpec(_family(args.family), args.n)
+    spec = GraphSpec(Family(args.family), args.n)
     diagram = build_diagram(spec)
     report: dict = {
         "family": spec.family.value,
@@ -213,7 +218,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    spec = GraphSpec(_family(args.family), args.n)
+    spec = GraphSpec(Family(args.family), args.n)
     if args.bins:
         _write(density_export(spec.family, spec.n, args.bins), args.out)
         return 0
@@ -236,11 +241,10 @@ def cmd_dist(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    family = _family(args.family)
+    family = Family(args.family)
     code = parse_code_text(args.code, family)
-    eps = Fraction(args.eps)  # decimal or p/q text, kept exact
-    config = (witness_kn if family is Family.COMPLETE else witness_knn)(code, eps)
-    roundtrip = CODES[family].encode(config, eps) == code
+    config = (witness_kn if family is Family.COMPLETE else witness_knn)(code, args.eps)
+    roundtrip = CODES[family].encode(config, args.eps) == code
     _write(config.to_json() + "\n", args.out)
     print(f"roundtrip {'confirmed' if roundtrip else 'FAILED'}", file=sys.stderr)
     return 0 if roundtrip else 1
@@ -320,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="construct a configuration realizing a code")
     p.add_argument("--family", choices=["kn", "knn"], required=True)
     p.add_argument("--code", required=True)
-    p.add_argument("--eps", default="1")
+    p.add_argument("--eps", type=_positive_fraction, default="1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_witness)
 
@@ -336,7 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotTypicalError, InvalidCodeError, ValueError) as exc:
+    except (NotTypicalError, InvalidCodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:

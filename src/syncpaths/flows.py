@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import CODES, Code, apply_edge_kn, apply_edge_knn, encode_kn, encode_knn
+from .codes import CODES, Code
 from .errors import NotTypicalError, SizeGuardError, SyncPathsError, UnsynchronizedError
 from .graphs import Configuration, Edge, Family, GraphSpec, laplacian
 
@@ -160,46 +160,57 @@ def rk4_linear_trajectory(config: Configuration, t: float, step: float = 1e-3) -
 # switching times of the linear flow
 # ---------------------------------------------------------------------------
 
-def _event_increments(values, eps) -> dict[Edge, object]:
-    """Increments exceeding eps, keyed by edge; ties among them are ambiguous.
+def _sequence(config: Configuration, eps, timed_edges) -> SyncSequence:
+    """Replay (t, edge, direction) events from the code of config at eps.
 
-    Increments at or below eps never generate events (their pairs belong to
-    the initial code), so they are exempt from the typicality requirement;
-    in particular a diagonal configuration yields an empty event list.
+    direction is the sign of the edge's initial difference, or 0 where it
+    is not checked; a bipartite edge must join from that side.
     """
-    n = len(values)
-    incs: dict[Edge, object] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            inc = values[b] - values[a]
-            if inc > eps:
-                incs[(a + 1, b + 1)] = inc
-    if len(set(incs.values())) != len(incs):
+    family = CODES[config.spec.family]
+    initial = code = family.encode(config, eps)
+    events = []
+    for t, edge, direction in timed_edges:
+        site, sign, code = family.apply_edge(code, edge)
+        if sign * direction < 0:
+            raise SyncPathsError(f"edge {edge} joined from the side opposite its sign")
+        events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
+    return SyncSequence(config.spec, float(eps), initial, tuple(events), code)
+
+
+def _linear_sequence(config: Configuration, eps) -> SyncSequence:
+    """Events of a linear flow whose every difference decays at rate n.
+
+    The edge with exact difference d, |d| > eps, appears at
+    (log |d| - log eps) / n, so sorting by |d| sorts by time exactly.
+    Differences at or below eps never generate events (their pairs belong
+    to the initial code), so they are exempt from the typicality
+    requirement; in particular a diagonal configuration has no events.
+    """
+    n = config.spec.n
+    values = [Fraction(v) for v in config.values]
+    events = []  # (|d|, edge, sign of d)
+    for u, v in config.spec.edges():
+        d = values[v - 1] - values[u - 1]
+        if abs(d) > eps:
+            events.append((abs(d), (u, v), 1 if d > 0 else -1))
+    events.sort()
+    if any(a[0] == b[0] for a, b in zip(events, events[1:])):
         raise NotTypicalError("event-generating increments must be pairwise distinct")
-    return incs
+    log_eps = math.log(eps)
+    timed = [((math.log(mag) - log_eps) / n, edge, sign) for mag, edge, sign in events]
+    return _sequence(config, eps, timed)
 
 
 def switching_times_kn(config: Configuration, eps) -> SyncSequence:
     """Event sequence of the linear flow on the complete graph, from the closed form.
 
-    The edge {n, m} with increment d > eps appears at (log d - log eps) / n;
-    sorting by increment therefore sorts by time exactly.
+    Every increment contracts at rate n (see ``_linear_sequence``).
     """
     if config.spec.family is not Family.COMPLETE:
         raise ValueError("complete-graph configuration required")
     if not config.is_ordered():
         raise ValueError("configuration must be sorted ascending")
-    n = config.spec.n
-    incs = _event_increments(config.values, eps)
-
-    initial = encode_kn(config, eps)
-    code = initial
-    events = []
-    for edge, inc in sorted(incs.items(), key=lambda kv: kv[1]):
-        t = (math.log(inc) - math.log(eps)) / n
-        site, sign, code = apply_edge_kn(code, edge)
-        events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
-    return SyncSequence(config.spec, float(eps), initial, tuple(events), code)
+    return _linear_sequence(config, eps)
 
 
 def switching_times_knn_balanced(config: Configuration, eps) -> SyncSequence:
@@ -217,27 +228,7 @@ def switching_times_knn_balanced(config: Configuration, eps) -> SyncSequence:
         raise ValueError("both parties must be sorted ascending")
     if not config.is_balanced():
         raise ValueError("party means must be equal; use the Kuramoto flow otherwise")
-    n = config.spec.n
-    diffs: dict[Edge, Fraction] = {}
-    for row in range(1, n + 1):
-        for col in range(1, n + 1):
-            d = Fraction(config[n + col]) - Fraction(config[row])
-            if abs(d) > eps:
-                diffs[(row, n + col)] = d
-    mags = [abs(d) for d in diffs.values()]
-    if len(set(mags)) != len(mags):
-        raise NotTypicalError("event-generating magnitudes must be pairwise distinct")
-
-    initial = encode_knn(config, eps)
-    code = initial
-    events = []
-    for edge, d in sorted(diffs.items(), key=lambda kv: abs(kv[1])):
-        t = float((math.log(abs(d)) - math.log(eps)) / n)
-        site, sign, code = apply_edge_knn(code, edge)
-        if sign != (1 if d > 0 else -1):
-            raise SyncPathsError(f"edge {edge} joined from the side opposite its sign")
-        events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
-    return SyncSequence(config.spec, float(eps), initial, tuple(events), code)
+    return _linear_sequence(config, eps)
 
 
 def cross_party_crossing_times(config: Configuration, eps, row: int, col: int) -> tuple[float, ...]:
@@ -344,11 +335,4 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
     if status == 3:
         raise SyncPathsError("a synchronized pair desynchronized (outside monotone regime)")
 
-    family = CODES[spec.family]
-    initial = code = family.encode(config, eps)
-    events = []
-    for t, p in zip(ev_t, ev_p):
-        edge = pairs[p]
-        site, sign, code = family.apply_edge(code, edge)
-        events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
-    return SyncSequence(spec, eps, initial, tuple(events), code)
+    return _sequence(config, eps, ((t, pairs[p], 0) for t, p in zip(ev_t, ev_p)))

@@ -129,12 +129,20 @@ class Configuration:
 
 
 def configuration_from_json(text: str) -> Configuration:
+    """Inverse of ``Configuration.to_json``; a malformed body raises ValueError."""
     obj = json.loads(text)
-    spec = GraphSpec(Family(obj["family"]), obj["n"])
-    values = tuple(
-        Fraction(v) if isinstance(v, str) else v for v in obj["values"]
-    )
-    return Configuration(spec, values)
+    values = obj.get("values") if isinstance(obj, dict) else None
+    if not (
+        isinstance(values, list)
+        and type(obj.get("n")) is int
+        and all(type(v) in (int, float, str) for v in values)
+    ):
+        raise ValueError('configuration JSON needs {"family", "n": int, "values": [number or "p/q"]}')
+    try:
+        values = tuple(Fraction(v) if isinstance(v, str) else v for v in values)
+    except ZeroDivisionError:
+        raise ValueError("configuration values must be finite") from None
+    return Configuration(GraphSpec(Family(obj.get("family")), obj["n"]), values)
 
 
 @functools.lru_cache(maxsize=16)

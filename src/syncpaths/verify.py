@@ -9,12 +9,17 @@ an empty balanced family at n = 2) and the asymptotic location of the
 complete-family length-distribution peak (the exact argmax ratio rises with
 n instead of settling near 0.632).
 
-Some checks also carry a wall-clock budget (``_deadline``).  A check that
-overruns its budget fails and appends "exceeded Ns budget" to its detail,
-so a report is byte-identical across runs only while every check stays
-within its budget.  Each budget is at least ten times the check's measured
-run time on two cores.  No budget is widened or dropped to keep a report
-stable under load: an overrun is a finding, reported as a failed check.
+Every check returns a ``Verdict``, ``(passed, detail)``; ``run_check`` is
+the one place that names it, times it and turns a crash into a failed
+check.  Some checks carry a wall-clock budget, stated once in ``CHECKS``.
+The budget covers the whole check: a check that overruns it fails and
+appends "exceeded Ns budget" to its detail, whether it passed, failed
+early or raised.  So a report is byte-identical across runs only while
+every check stays within its budget; a check that passes within its
+budget gives the same detail as with no budget at all.  Each budget is at
+least ten times the check's measured run time on two cores.  No budget is
+widened or dropped to keep a report stable under load: an overrun is a
+finding, reported as a failed check.
 """
 
 from __future__ import annotations
@@ -64,72 +69,54 @@ class CheckResult:
     detail: str
 
 
-def _deadline(budget: float, elapsed: float, detail: str) -> tuple[bool, str]:
-    if elapsed > budget:
-        return False, f"{detail}; exceeded {budget:.0f}s budget"
-    return True, detail
+Verdict = tuple[bool, str]  # (passed, detail)
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_golomb_counts(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+def check_golomb_counts(quick: bool) -> Verdict:
     got = [count_realizable_paths_kn(n) for n in range(1, 6)]
     want = [GOLOMB_TABLE[n] for n in range(1, 6)]
     if got != want:
-        return CheckResult("golomb_counts", False, f"{got} != {want}")
-    ok, detail = _deadline(60.0, time.perf_counter() - t0, f"n=1..5 -> {got}")
-    return CheckResult("golomb_counts", ok, detail)
+        return False, f"{got} != {want}"
+    return True, f"n=1..5 -> {got}"
 
 
-def check_golomb_stretch(quick: bool) -> CheckResult:
+def check_golomb_stretch(quick: bool) -> Verdict:
     if quick:
-        return CheckResult("golomb_stretch_n6", True, "skipped in quick mode")
-    t0 = time.perf_counter()
+        return True, "skipped in quick mode"
     got = count_realizable_paths_kn(6)
-    ok, detail = _deadline(1800.0, time.perf_counter() - t0, f"n=6 -> {got}")
-    return CheckResult("golomb_stretch_n6", got == GOLOMB_TABLE[6] and ok, detail)
+    return got == GOLOMB_TABLE[6], f"n=6 -> {got}"
 
 
-def check_kn4_orderings(quick: bool) -> CheckResult:
+def check_kn4_orderings(quick: bool) -> Verdict:
     got = set(enumerate_realizable_orderings_kn(4))
     ok = got == set(reference.KN4_ORDERINGS)
     counterexample = path_to_ordering_kn((1, 2, 3, 4), (1, 3, 2, 2, 1, 1))
     ok = ok and feasible(counterexample) is None
-    return CheckResult(
-        "kn4_ordering_table",
-        ok,
-        f"{len(got)} orderings; contradictory jump path infeasible",
-    )
+    return ok, f"{len(got)} orderings; contradictory jump path infeasible"
 
 
-def check_admissible_counts(quick: bool) -> CheckResult:
+def check_admissible_counts(quick: bool) -> Verdict:
     d4 = build_diagram(complete(4))
     d3 = build_diagram(complete(3))
     a4 = count_admissible_paths(d4, (1, 2, 3, 4))
     a3 = count_admissible_paths(d3, (1, 2, 3))
-    return CheckResult(
-        "admissible_counts", a4 == 16 and a3 == 2, f"K4 -> {a4}, K3 -> {a3}"
-    )
+    return a4 == 16 and a3 == 2, f"K4 -> {a4}, K3 -> {a3}"
 
 
-def check_kn_distribution_rows(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+def check_kn_distribution_rows(quick: bool) -> Verdict:
     top = 5 if quick else 8
     rows_ok = all(
         f_kn(n).counts == reference.KN_LENGTH_ROWS[n] for n in range(2, top + 1)
     )
     sums_ok = all(f_kn(n).total() == catalan(n) for n in range(2, 13))
-    ok, detail = _deadline(
-        5.0, time.perf_counter() - t0, f"rows 2..{top} exact; sums = Catalan to 12"
-    )
-    return CheckResult("kn_length_rows", rows_ok and sums_ok and ok, detail)
+    return rows_ok and sums_ok, f"rows 2..{top} exact; sums = Catalan to 12"
 
 
-def check_knn_distribution_rows(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+def check_knn_distribution_rows(quick: bool) -> Verdict:
     top = 5 if quick else 8
     rows_ok = all(
         f_knn(n).counts == reference.KNN_LENGTH_ROWS[n] for n in range(2, top + 1)
@@ -139,46 +126,35 @@ def check_knn_distribution_rows(quick: bool) -> CheckResult:
         f_knn(n).counts[-1] == math.comb(2 * n, n) for n in range(1, 11)
     )
     sloane_ok = all(sloane_prefix_check(n) for n in range(1, 9))
-    ok, detail = _deadline(
-        60.0,
-        time.perf_counter() - t0,
+    return (
+        rows_ok and sums_ok and ends_ok and sloane_ok,
         f"rows 2..{top} exact; sums, endpoints, partition-pair prefixes",
     )
-    return CheckResult(
-        "knn_length_rows", rows_ok and sums_ok and ends_ok and sloane_ok and ok, detail
-    )
 
 
-def check_knn_ordering_table(quick: bool) -> CheckResult:
+def check_knn_ordering_table(quick: bool) -> Verdict:
     rows = set(enumerate_realizable_orderings_knn(2, balanced=False))
     balanced = enumerate_realizable_orderings_knn(2, balanced=True)
     table = set(reference.KNN2_ORDERING_TABLE)
     ok = rows == table and len(balanced) == 16
     extra = len(rows - table)
     missing = len(table - rows)
-    return CheckResult(
-        "knn2_ordering_table",
-        ok,
-        (
-            f"documented discrepancy: exact enumeration yields {len(rows)} rows "
-            f"({extra} beyond the 20-row table, {missing} table rows infeasible); "
-            f"balanced-exact yields {len(balanced)} (ties are forced at n=2)"
-        ),
+    return ok, (
+        f"documented discrepancy: exact enumeration yields {len(rows)} rows "
+        f"({extra} beyond the 20-row table, {missing} table rows infeasible); "
+        f"balanced-exact yields {len(balanced)} (ties are forced at n=2)"
     )
 
 
-def check_diagram_levels(quick: bool) -> CheckResult:
+def check_diagram_levels(quick: bool) -> Verdict:
     ok = True
     for spec in [*map(complete, range(2, 7)), *map(bipartite, range(1, 5))]:
         sizes = build_diagram(spec).level_sizes()
         ok = ok and tuple(reversed(sizes)) == length_distribution(spec.family, spec.n).counts
-    return CheckResult(
-        "diagram_level_consistency", ok, "level sizes match distributions"
-    )
+    return ok, "level sizes match distributions"
 
 
-def check_witness_roundtrips(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+def check_witness_roundtrips(quick: bool) -> Verdict:
     eps_set = (Fraction(1), Fraction(1, 100))
     count = 0
     ok = len(enumerate_phi_n(6)) == 132 and len(enumerate_phi_nn(4)) == 1764
@@ -192,13 +168,10 @@ def check_witness_roundtrips(quick: bool) -> CheckResult:
                 if record.encode(witness(code, eps), eps) != code:
                     ok = False
                 count += 1
-    passed, detail = _deadline(
-        60.0, time.perf_counter() - t0, f"{count} roundtrips exact"
-    )
-    return CheckResult("witness_roundtrips", ok and passed, detail)
+    return ok, f"{count} roundtrips exact"
 
 
-def check_eps_invariance(quick: bool) -> CheckResult:
+def check_eps_invariance(quick: bool) -> Verdict:
     rng = np.random.default_rng(SEED)
     eps, eps2 = 0.1, 0.003
     trials = 0
@@ -217,10 +190,10 @@ def check_eps_invariance(quick: bool) -> CheckResult:
             ok = ok and a.edge_order() == b.edge_order()
             done += 1
             trials += 1
-    return CheckResult("eps_invariance", ok, f"{trials} scaled pairs, orders equal")
+    return ok, f"{trials} scaled pairs, orders equal"
 
 
-def check_flow_exactness(quick: bool) -> CheckResult:
+def check_flow_exactness(quick: bool) -> Verdict:
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     step = 1e-3
@@ -254,19 +227,11 @@ def check_flow_exactness(quick: bool) -> CheckResult:
                 got = cross_party_crossing_times(cfg, eps, row, col)
                 ref = _bisect_crossings(cfg, eps, row, col)
                 if len(got) != len(ref):
-                    return CheckResult(
-                        "flow_exactness",
-                        False,
-                        f"crossing count mismatch: {got} vs {ref}",
-                    )
+                    return False, f"crossing count mismatch: {got} vs {ref}"
                 for a, b in zip(got, ref):
                     worst_t = max(worst_t, abs(a - b))
     ok = ok and worst_t < 1e-10
-    return CheckResult(
-        "flow_exactness",
-        ok,
-        f"rk4 sup error {worst:.2e}; crossing-time deviation {worst_t:.2e}",
-    )
+    return ok, f"rk4 sup error {worst:.2e}; crossing-time deviation {worst_t:.2e}"
 
 
 def _bisect_crossings(cfg: Configuration, eps: float, row: int, col: int):
@@ -297,7 +262,7 @@ def _bisect_crossings(cfg: Configuration, eps: float, row: int, col: int):
     return [t for t in out if t > 1e-9]
 
 
-def check_kuramoto_consistency(quick: bool) -> CheckResult:
+def check_kuramoto_consistency(quick: bool) -> Verdict:
     rng = np.random.default_rng(SEED + 2)
     eps = 1e-3
     params = KuramotoParams(sigma=1.0)
@@ -330,13 +295,9 @@ def check_kuramoto_consistency(quick: bool) -> CheckResult:
     gaps_ok = all(g < 1e-6 for g in mismatch_gaps)
     need = math.ceil(samples * 195 / 200)
     ok = in_diagram and matches >= need and gaps_ok
-    return CheckResult(
-        "kuramoto_consistency",
-        ok,
-        (
-            f"{matches}/{samples} match the linear path; all observed paths realizable; "
-            f"{len(mismatch_gaps)} near-tie mismatches"
-        ),
+    return ok, (
+        f"{matches}/{samples} match the linear path; all observed paths realizable; "
+        f"{len(mismatch_gaps)} near-tie mismatches"
     )
 
 
@@ -354,7 +315,7 @@ def _reorder_gap(cfg: Configuration, order_a, order_b) -> float:
     return worst
 
 
-def check_bounds(quick: bool) -> CheckResult:
+def check_bounds(quick: bool) -> Verdict:
     # The factorial lower bound is tight at n = 3 (both sides equal 2, as the
     # "thrall(3) is tight" clause implies), strict from n = 4 on.
     ok = True
@@ -365,14 +326,10 @@ def check_bounds(quick: bool) -> CheckResult:
         ok = ok and lower_ok and g <= b.upper_thrall <= b.upper_factorial
     b3, b4 = golomb_bounds(3), golomb_bounds(4)
     ok = ok and b3.upper_thrall == 2 and b4.upper_thrall == 12
-    return CheckResult(
-        "golomb_bounds",
-        ok,
-        "gap-order bound <= count <= thrall <= pair-order bound (equality at n=3)",
-    )
+    return ok, "gap-order bound <= count <= thrall <= pair-order bound (equality at n=3)"
 
 
-def check_asymptotic_shape(quick: bool) -> CheckResult:
+def check_asymptotic_shape(quick: bool) -> Verdict:
     dist8 = f_knn(8)
     s8 = summary(dist8)
     exact_mean = Fraction(
@@ -380,27 +337,19 @@ def check_asymptotic_shape(quick: bool) -> CheckResult:
     )
     knn_ok = s8.modes == (51,) and s8.mean == exact_mean
     if quick:
-        return CheckResult(
-            "asymptotic_shape",
-            knn_ok,
-            "bipartite n=8 exact (complete-family n=60 window skipped in quick mode)",
-        )
+        return knn_ok, "bipartite n=8 exact (complete-family n=60 window skipped in quick mode)"
     s60 = summary(f_kn(60))
     mode_ratio = float(s60.mode_ratios[0])
     mean_ratio = float(s60.mean_ratio)
     kn_ok = 0.60 <= mode_ratio <= 0.66 and 0.50 <= mean_ratio <= 0.55
-    return CheckResult(
-        "asymptotic_shape",
-        knn_ok and kn_ok,
-        (
-            f"bipartite n=8 exact (argmax 51); documented discrepancy for the "
-            f"complete family: exact n=60 argmax ratio {mode_ratio:.4f} and mean "
-            f"ratio {mean_ratio:.4f} lie outside the expected [0.60,0.66]/[0.50,0.55]"
-        ),
+    return knn_ok and kn_ok, (
+        f"bipartite n=8 exact (argmax 51); documented discrepancy for the "
+        f"complete family: exact n=60 argmax ratio {mode_ratio:.4f} and mean "
+        f"ratio {mean_ratio:.4f} lie outside the expected [0.60,0.66]/[0.50,0.55]"
     )
 
 
-def check_determinism(quick: bool) -> CheckResult:
+def check_determinism(quick: bool) -> Verdict:
     d = build_diagram(complete(4))
     ok = export_dot(d) == export_dot(build_diagram(complete(4)))
     rng1 = np.random.default_rng(SEED)
@@ -410,25 +359,26 @@ def check_determinism(quick: bool) -> CheckResult:
     s1 = switching_times_kn(Configuration(complete(4), x), 0.01).to_json()
     s2 = switching_times_kn(Configuration(complete(4), x), 0.01).to_json()
     ok = ok and s1 == s2
-    return CheckResult("determinism", ok, "exports and seeded runs byte-identical")
+    return ok, "exports and seeded runs byte-identical"
 
 
-CHECKS: tuple[tuple[str, Callable[[bool], CheckResult]], ...] = (
-    ("golomb_counts", check_golomb_counts),
-    ("golomb_stretch_n6", check_golomb_stretch),
-    ("kn4_ordering_table", check_kn4_orderings),
-    ("admissible_counts", check_admissible_counts),
-    ("kn_length_rows", check_kn_distribution_rows),
-    ("knn_length_rows", check_knn_distribution_rows),
-    ("knn2_ordering_table", check_knn_ordering_table),
-    ("diagram_level_consistency", check_diagram_levels),
-    ("witness_roundtrips", check_witness_roundtrips),
-    ("eps_invariance", check_eps_invariance),
-    ("flow_exactness", check_flow_exactness),
-    ("kuramoto_consistency", check_kuramoto_consistency),
-    ("golomb_bounds", check_bounds),
-    ("asymptotic_shape", check_asymptotic_shape),
-    ("determinism", check_determinism),
+# (name, check, wall-clock budget in seconds or None)
+CHECKS: tuple[tuple[str, Callable[[bool], Verdict], float | None], ...] = (
+    ("golomb_counts", check_golomb_counts, 60),
+    ("golomb_stretch_n6", check_golomb_stretch, 1800),
+    ("kn4_ordering_table", check_kn4_orderings, None),
+    ("admissible_counts", check_admissible_counts, None),
+    ("kn_length_rows", check_kn_distribution_rows, 5),
+    ("knn_length_rows", check_knn_distribution_rows, 60),
+    ("knn2_ordering_table", check_knn_ordering_table, None),
+    ("diagram_level_consistency", check_diagram_levels, None),
+    ("witness_roundtrips", check_witness_roundtrips, 60),
+    ("eps_invariance", check_eps_invariance, None),
+    ("flow_exactness", check_flow_exactness, None),
+    ("kuramoto_consistency", check_kuramoto_consistency, None),
+    ("golomb_bounds", check_bounds, None),
+    ("asymptotic_shape", check_asymptotic_shape, None),
+    ("determinism", check_determinism, None),
 )
 
 # Checks that encode reference-table values refuted by exact computation;
@@ -436,19 +386,29 @@ CHECKS: tuple[tuple[str, Callable[[bool], CheckResult]], ...] = (
 DOCUMENTED_DISCREPANCIES = ("knn2_ordering_table", "asymptotic_shape")
 
 
+def run_check(
+    name: str, check: Callable[[bool], Verdict], budget: float | None, quick: bool
+) -> tuple[CheckResult, float]:
+    """Run one check; a crash or an overrun budget fails it.  Returns the seconds taken."""
+    t0 = time.perf_counter()
+    try:
+        passed, detail = check(quick)
+    except Exception as exc:  # a crashed check is a failed check
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    elapsed = time.perf_counter() - t0
+    if budget is not None and elapsed > budget:
+        passed, detail = False, f"{detail}; exceeded {budget:.0f}s budget"
+    return CheckResult(name, passed, detail), elapsed
+
+
 def run_verify(quick: bool = False, echo=print) -> dict:
     results = []
-    for name, fn in CHECKS:
-        t0 = time.perf_counter()
-        try:
-            res = fn(quick)
-        except Exception as exc:  # a crashed check is a failed check
-            res = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-        elapsed = time.perf_counter() - t0
+    for name, check, budget in CHECKS:
+        res, elapsed = run_check(name, check, budget, quick)
         status = "PASS" if res.passed else "FAIL"
         echo(f"{status} {res.name}: {res.detail} [{elapsed:.1f}s]")
         results.append(res)
-    report = {
+    return {
         "checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
@@ -459,7 +419,6 @@ def run_verify(quick: bool = False, echo=print) -> dict:
             if not r.passed and r.name in DOCUMENTED_DISCREPANCIES
         ],
     }
-    return report
 
 
 def report_to_json(report: dict) -> str:

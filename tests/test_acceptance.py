@@ -1,7 +1,8 @@
 """Acceptance suite: the release gate of ``syncpaths.verify`` in full mode.
 
 ``test_release_check`` runs every check of ``verify.CHECKS`` with
-``quick=False``; each must pass except the two documented discrepancies,
+``quick=False`` through ``verify.run_check``, so each check's wall-clock
+budget holds here too; each must pass except the two documented discrepancies,
 whose failures and detail strings are pinned.  Those two checks compare
 against published reference values that exact computation refutes (the
 bipartite n=2 ordering table and the complete-family asymptotic windows).
@@ -12,6 +13,7 @@ and in the README section "Reference-table discrepancies".
 """
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from syncpaths.realizability import (
     feasible,
     verify_witness,
 )
-from syncpaths.verify import CHECKS, DOCUMENTED_DISCREPANCIES, report_to_json, run_verify
+from syncpaths.verify import CHECKS, DOCUMENTED_DISCREPANCIES, run_check, run_verify
 
 # Full-mode details of the checks that compare against refuted published values.
 DISCREPANCY_DETAILS = {
@@ -48,15 +50,31 @@ def report(num, text):
     print(f"[criterion {num:02d}] PASS: {text}")
 
 
-@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
-def test_release_check(name, check):
-    result = check(False)
-    assert result.name == name
+@pytest.mark.parametrize("name, check, budget", CHECKS, ids=[name for name, *_ in CHECKS])
+def test_release_check(name, check, budget):
+    result, _elapsed = run_check(name, check, budget, False)
     if name in DOCUMENTED_DISCREPANCIES:
         assert not result.passed
         assert result.detail == DISCREPANCY_DETAILS[name]
     else:
         assert result.passed, result.detail
+
+
+def test_run_check_fails_crashes_and_overruns():
+    def crash(quick):
+        raise RuntimeError("boom")
+
+    def slow(quick):
+        time.sleep(0.05)
+        return True, "done"
+
+    result, _ = run_check("crash", crash, None, True)
+    assert (result.name, result.passed, result.detail) == ("crash", False, "raised RuntimeError: boom")
+    result, elapsed = run_check("slow", slow, 0.01, True)
+    assert elapsed >= 0.05
+    assert (result.passed, result.detail) == (False, "done; exceeded 0s budget")
+    result, _ = run_check("slow", slow, 60, True)
+    assert (result.passed, result.detail) == (True, "done")
 
 
 # Bipartite n=2 rows, derived by hand (see test_c06).  Row format as in
@@ -218,31 +236,51 @@ def test_c13_kn_asymptotic_window():
     report(13, f"n=60 argmax ratio {float(mode_ratio):.4f}, mean ratio {float(mean_ratio):.4f}")
 
 
+# The quick report, pinned: (name, passed, detail) per check, in order.
+QUICK_REPORT = [
+    ("golomb_counts", True, "n=1..5 -> [1, 1, 2, 10, 114]"),
+    ("golomb_stretch_n6", True, "skipped in quick mode"),
+    ("kn4_ordering_table", True, "10 orderings; contradictory jump path infeasible"),
+    ("admissible_counts", True, "K4 -> 16, K3 -> 2"),
+    ("kn_length_rows", True, "rows 2..5 exact; sums = Catalan to 12"),
+    ("knn_length_rows", True, "rows 2..5 exact; sums, endpoints, partition-pair prefixes"),
+    (
+        "knn2_ordering_table",
+        False,
+        "documented discrepancy: exact enumeration yields 24 rows (6 beyond the "
+        "20-row table, 2 table rows infeasible); balanced-exact yields 0 (ties are "
+        "forced at n=2)",
+    ),
+    ("diagram_level_consistency", True, "level sizes match distributions"),
+    ("witness_roundtrips", True, "4316 roundtrips exact"),
+    ("eps_invariance", True, "400 scaled pairs, orders equal"),
+    ("flow_exactness", True, "rk4 sup error 5.13e-11; crossing-time deviation 2.22e-16"),
+    (
+        "kuramoto_consistency",
+        True,
+        "50/50 match the linear path; all observed paths realizable; 0 near-tie mismatches",
+    ),
+    (
+        "golomb_bounds",
+        True,
+        "gap-order bound <= count <= thrall <= pair-order bound (equality at n=3)",
+    ),
+    (
+        "asymptotic_shape",
+        True,  # the bipartite n=8 statistics alone
+        "bipartite n=8 exact (complete-family n=60 window skipped in quick mode)",
+    ),
+    ("determinism", True, "exports and seeded runs byte-identical"),
+]
+
+
 def test_c14_determinism():
-    sink = lambda *_args, **_kw: None
-    quick = run_verify(quick=True, echo=sink)
-    r1 = report_to_json(quick)
-    r2 = report_to_json(run_verify(quick=True, echo=sink))
-    assert r1 == r2
-    assert [(c["name"], c["passed"]) for c in quick["checks"]] == [
-        ("golomb_counts", True),
-        ("golomb_stretch_n6", True),
-        ("kn4_ordering_table", True),
-        ("admissible_counts", True),
-        ("kn_length_rows", True),
-        ("knn_length_rows", True),
-        ("knn2_ordering_table", False),
-        ("diagram_level_consistency", True),
-        ("witness_roundtrips", True),
-        ("eps_invariance", True),
-        ("flow_exactness", True),
-        ("kuramoto_consistency", True),
-        ("golomb_bounds", True),
-        ("asymptotic_shape", True),  # the bipartite n=8 statistics alone
-        ("determinism", True),
-    ]
+    """The quick report equals its pinned value, across runs, processes and commits."""
+    quick = run_verify(quick=True, echo=lambda *_args, **_kw: None)
+    assert [(c["name"], c["passed"], c["detail"]) for c in quick["checks"]] == QUICK_REPORT
     assert quick["documented_discrepancies"] == ["knn2_ordering_table"]
+    assert quick["passed"] is False
     d1 = export_dot(build_diagram(bipartite(2)))
     d2 = export_dot(build_diagram(bipartite(2)))
     assert d1 == d2
-    report(14, "verification reports and DOT exports byte-identical")
+    report(14, "verification report pinned; DOT exports byte-identical")

@@ -153,13 +153,49 @@ KN3 = ("--family", "kn", "--n", "3")
             "--sigma: must be finite and > 0",
         ),
         (("count", *KN3, "--jobs", "0"), "--jobs: must be >= 1"),
+        (("encode", *KN3, "--x", "0,1,3", "--eps", "abc"), "--eps: must be finite and > 0"),
+        (("count", *KN3, "--jobs", "abc"), "--jobs: must be >= 1, got abc"),
+        (
+            ("witness", "--family", "kn", "--code", "2,3,3", "--eps", "1/0"),
+            "--eps: must be a decimal or p/q > 0, got 1/0",
+        ),
     ],
 )
 def test_invalid_numbers_rejected_at_entry(argv, fault, capsys):
     code, err = _exit_code(argv, capsys)
     assert code == 2
     assert fault in err
+    assert "_positive" not in err  # the option is named, not the converter
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, fault",
+    [
+        (None, "No such file or directory"),
+        ('{"family": "kn", "n": 3}', "configuration JSON needs"),
+        ("[1, 2, 3]", "configuration JSON needs"),
+        ('{"family": "kn", "n": "3", "values": [0, 1, 2]}', "configuration JSON needs"),
+        ('{"family": "kn", "n": 3, "values": 5}', "configuration JSON needs"),
+        ('{"family": "kn", "n": 3, "values": [0, "1/0", 2]}', "values must be finite"),
+    ],
+    ids=["missing", "no-values", "list", "string-n", "scalar-values", "zero-denominator"],
+)
+def test_bad_x_file_exits_2(body, fault, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if body is not None:
+        path.write_text(body)
+    code, err = _exit_code(("simulate", *KN3, "--x-file", str(path)), capsys)
+    assert code == 2
+    assert fault in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    missing_dir = tmp_path / "missing" / "x"
+    code, err = _exit_code(("dist", *KN3, "--out", str(missing_dir)), capsys)
+    assert code == 2
+    assert "No such file or directory" in err
 
 
 def test_x_file_values_must_be_finite(tmp_path, capsys):
