@@ -64,8 +64,8 @@ def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pai
     marks pairs already within eps at t=0.  Crossing times are refined by
     bisection (re-stepping from the pre-step state) to crossing_tol.
 
-    Returns (event_times, event_pairs, status, x_final, t_final), the events
-    as lists of times and pair indices in order of occurrence.
+    Returns (event_times, event_pairs, status), the events as lists of times
+    and pair indices in order of occurrence.
     """
     x = list(x0)
     active = [(u, v) for (u, v), on in zip(pairs, active0) if on]
@@ -74,13 +74,13 @@ def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pai
     ev_p: list[int] = []
     t = 0.0
     if not pending:
-        return ev_t, ev_p, 0, x, t
+        return ev_t, ev_p, 0
 
     for _ in range(max_steps):
         xnew = rk4_step(x, sigma, n_party, step)
         for u, v in active:
             if abs(xnew[u] - xnew[v]) - eps > 0.0:
-                return ev_t, ev_p, 3, x, t
+                return ev_t, ev_p, 3
 
         crossed = []
         for i, u, v in pending:
@@ -101,7 +101,7 @@ def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pai
             crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
             for a in range(1, len(crossed)):
                 if crossed[a][0] - crossed[a - 1][0] < crossing_tol:
-                    return ev_t, ev_p, 2, x, t
+                    return ev_t, ev_p, 2
             for tc, i, u, v in crossed:
                 ev_t.append(tc)
                 ev_p.append(i)
@@ -111,6 +111,6 @@ def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pai
         x = xnew
         t += step
         if not pending:
-            return ev_t, ev_p, 0, x, ev_t[-1]
+            return ev_t, ev_p, 0
 
-    return ev_t, ev_p, 1, x, t
+    return ev_t, ev_p, 1

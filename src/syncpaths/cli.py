@@ -181,6 +181,8 @@ def cmd_diagram(args) -> int:
 
 def cmd_count(args) -> int:
     spec = GraphSpec(Family(args.family), args.n)
+    # the bipartite bound refuses n >= 5 before the diagram is built
+    bound = knn_path_upper_bound(spec.n) if spec.family is Family.BIPARTITE else None
     diagram = build_diagram(spec)
     report: dict = {
         "family": spec.family.value,
@@ -205,7 +207,7 @@ def cmd_count(args) -> int:
     else:
         report["codes"] = str(len(diagram.vertices))
         report["start_codes"] = len(diagram.starts)
-        report["interleaving_bound"] = str(knn_path_upper_bound(spec.n))
+        report["interleaving_bound"] = str(bound)
         if spec.n <= 3:
             rows = enumerate_realizable_orderings_knn(spec.n, balanced=args.balanced)
             report["realizable_orderings"] = len(rows)

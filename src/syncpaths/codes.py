@@ -18,7 +18,8 @@ look an operation up instead of branching on the family.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InvalidCodeError, NotTypicalError
 from .graphs import Configuration, Edge, Family
@@ -208,25 +209,12 @@ def enumerate_phi_nn(n: int) -> list[KnnCode]:
     """All border pairs for party size n, lexicographic in (alpha, omega)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def nondecreasing(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        def extend(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-            if len(prefix) == n:
-                yield tuple(prefix)
-                return
-            for v in range(prefix[-1] if prefix else lo, hi + 1):
-                prefix.append(v)
-                yield from extend(prefix)
-                prefix.pop()
-
-        yield from extend([])
-
-    out = []
-    for alpha in nondecreasing(1, n + 1):
-        for omega in nondecreasing(0, n):
-            if all(a <= w + 1 for a, w in zip(alpha, omega)):
-                out.append((alpha, omega))
-    return out
+    return [
+        (alpha, omega)
+        for alpha in combinations_with_replacement(range(1, n + 2), n)
+        for omega in combinations_with_replacement(range(n + 1), n)
+        if all(a <= w + 1 for a, w in zip(alpha, omega))
+    ]
 
 
 def narayana_count(n: int) -> int:
@@ -269,21 +257,11 @@ def start_codes_knn(n: int) -> list[tuple[KnnCode, bool]]:
     The two flagged codes encode party layouts whose party means are forced
     apart (one party entirely below the other).
     """
-    starts = []
     flagged = {(1,) * n, (n + 1,) * n}
-
-    def alphas(prefix: list[int]) -> None:
-        if len(prefix) == n:
-            alpha = tuple(prefix)
-            starts.append(((alpha, tuple(a - 1 for a in alpha)), alpha in flagged))
-            return
-        for v in range(prefix[-1] if prefix else 1, n + 2):
-            prefix.append(v)
-            alphas(prefix)
-            prefix.pop()
-
-    alphas([])
-    return starts
+    return [
+        ((alpha, tuple(a - 1 for a in alpha)), alpha in flagged)
+        for alpha in combinations_with_replacement(range(1, n + 2), n)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,7 @@ def summary(dist: LengthDistribution) -> SummaryStats:
 
 
 DENSITY_LIMITS = {Family.COMPLETE: 60, Family.BIPARTITE: 20}
+DENSITY_MAX_BINS = 10**5  # about 0.6 s at kn 60; the export time is linear in bins
 
 
 def density_export(family: Family, n: int, bins: int) -> str:
@@ -218,6 +219,8 @@ def density_export(family: Family, n: int, bins: int) -> str:
         raise SizeGuardError(f"n={n} exceeds the density limit for {family.value}")
     if bins < 1:
         raise ValueError("bins must be positive")
+    if bins > DENSITY_MAX_BINS:
+        raise SizeGuardError(f"bins={bins} exceeds the density limit of {DENSITY_MAX_BINS} bins")
     dist = length_distribution(family, n)
     top = dist.max_length
     total = dist.total()

@@ -325,7 +325,7 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
         )
     max_steps = int(math.ceil(steps)) + 1
 
-    ev_t, ev_p, status, _, _ = _kernels.integrate_events(
+    ev_t, ev_p, status = _kernels.integrate_events(
         x0, params.sigma, eps, n_party, step, params.crossing_tol, max_steps, ends, active0
     )
     if status == 1:

@@ -7,10 +7,15 @@ question over an open homogeneous cone; strict inequalities are normalized to
 slack-1 form and decided exactly (see ``ratlp``), so every "feasible" verdict
 carries an exact rational witness.
 
-Counting feasible full orders for the complete graph counts combinatorial
-classes of Golomb rulers: depth-first extension "which increment is next
-smallest", pruned by interval containment (a nested increment is forced
-smaller) and by exact feasibility of each prefix.
+Both families enumerate their orders with one generator, ``_chains``: a
+depth-first extension "which item is next smallest", pruned by interval
+containment (a nested window is forced smaller, ``_open_items``) and by exact
+feasibility of each prefix.  Its root witness is powers-of-two gaps when
+neither a prefix nor an equality row constrains it, else one root LP; a
+witness is reused down the tree until a choice disagrees with it.  Counting
+feasible full orders for the complete graph counts combinatorial classes of
+Golomb rulers; the worker pool splits that search at depth two with the same
+child rule.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, combinations
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import ratlp
 from .codes import KnCode, KnnCode, validate_kn, validate_knn
 from .errors import NotTypicalError, SizeGuardError, SyncPathsError
 from .graphs import Configuration, Family, bipartite, complete
@@ -105,13 +111,11 @@ def _window_row(space: _ChainSpace, a: int, b: int):
 
 def _chain_feasible(space: _ChainSpace, chain: Sequence[int], tails: Iterable[int] = ()):
     """Witness gaps for: chain strictly increasing, every tail above the last."""
-    from .ratlp import solve_feasibility
-
     ge = [_window_row(space, a, b) for a, b in zip(chain, chain[1:])]
     if chain:
         last = chain[-1]
         ge.extend(_window_row(space, last, j) for j in tails)
-    y = solve_feasibility(space.n_gaps, ge_rows=ge, eq_rows=space.eq_rows)
+    y = ratlp.solve_feasibility(space.n_gaps, ge_rows=ge, eq_rows=space.eq_rows)
     if y is None:
         return None
     return tuple(v + 1 for v in y)
@@ -119,9 +123,7 @@ def _chain_feasible(space: _ChainSpace, chain: Sequence[int], tails: Iterable[in
 
 def _magnitudes(space: _ChainSpace, gaps: Sequence[Fraction]) -> list[Fraction]:
     """Every item's window sum over the witness gaps, from one prefix-sum pass."""
-    prefix = [Fraction(0)]
-    for g in gaps:
-        prefix.append(prefix[-1] + g)
+    prefix = list(accumulate(gaps, initial=0))
     return [prefix[hi] - prefix[lo] for lo, hi in space.windows]
 
 
@@ -135,57 +137,55 @@ def _containment_masks(windows: Sequence[tuple[int, int]]) -> list[int]:
     return masks
 
 
-def _chain_dfs(space: _ChainSpace, on_complete, root_witness=None, prefix: tuple[int, ...] = ()) -> None:
-    """Enumerate feasible full chains extending prefix; calls on_complete per chain.
+def _items(bits: int, n_items: int) -> list[int]:
+    return [j for j in range(n_items) if bits >> j & 1]
 
-    A node's witness is reused for any extension it already satisfies, so the
-    exact LP runs only when the next-smallest choice disagrees with it.  The
+
+def _open_items(masks: Sequence[int], remaining: int) -> Iterator[int]:
+    """Items that may come next: still open, with no open item nested inside."""
+    for c in range(len(masks)):
+        if remaining >> c & 1 and not masks[c] & remaining:
+            yield c
+
+
+def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Feasible full chains extending prefix, depth first in item order.
+
+    The root witness is powers-of-two gaps (distinct window sums for free)
+    when neither a prefix nor an equality row constrains it, else one exact
+    LP.  A node's witness is reused for any extension it already satisfies,
+    so the LP runs only when the next-smallest choice disagrees with it.  The
     witness travels as its item magnitudes, computed once per witness.
     """
     n_items = len(space.windows)
     masks = _containment_masks(space.windows)
-    remaining0 = (1 << n_items) - 1
+    remaining = (1 << n_items) - 1
     for c in prefix:
-        remaining0 &= ~(1 << c)
-
-    if root_witness is None or prefix:
-        tails = [j for j in range(n_items) if remaining0 & (1 << j)]
-        root_witness = _chain_feasible(space, list(prefix), tails)
-        if root_witness is None:
+        remaining &= ~(1 << c)
+    if prefix or space.eq_rows:
+        root = _chain_feasible(space, prefix, _items(remaining, n_items))
+        if root is None:
             return
+    else:
+        root = tuple(Fraction(2**i) for i in range(space.n_gaps))
 
-    chain: list[int] = list(prefix)
-
-    def recurse(remaining: int, mags) -> None:
-        if remaining == 0:
-            on_complete(tuple(chain))
+    def extend(chain: tuple[int, ...], remaining: int, mags) -> Iterator[tuple[int, ...]]:
+        if not remaining:
+            yield chain
             return
-        last = chain[-1] if chain else -1
-        for c in range(n_items):
-            bit = 1 << c
-            if not remaining & bit or masks[c] & remaining & ~bit:
-                continue
-            rest = remaining & ~bit
+        for c in _open_items(masks, remaining):
+            rest = remaining & ~(1 << c)
+            tails = _items(rest, n_items)
             m = mags
-            if m is not None:
-                mc = m[c]
-                ok = last < 0 or mc >= m[last] + 1
-                if ok:
-                    above = mc + 1
-                    ok = all(m[j] >= above for j in range(n_items) if rest & (1 << j))
-                if not ok:
-                    m = None
-            if m is None:
-                tails = [j for j in range(n_items) if rest & (1 << j)]
-                w = _chain_feasible(space, chain + [c], tails)
+            above = m[c] + 1
+            if (chain and m[c] < m[chain[-1]] + 1) or any(m[j] < above for j in tails):
+                w = _chain_feasible(space, chain + (c,), tails)
                 if w is None:
                     continue
                 m = _magnitudes(space, w)
-            chain.append(c)
-            recurse(rest, m)
-            chain.pop()
+            yield from extend(chain + (c,), rest, m)
 
-    recurse(remaining0, _magnitudes(space, root_witness))
+    yield from extend(prefix, remaining, _magnitudes(space, root))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +202,6 @@ def _kn_space(n: int) -> tuple[_ChainSpace, list[KnLabel]]:
     return _ChainSpace(windows, n - 1, ()), labels
 
 
-def _powers_witness(n_gaps: int) -> tuple[Fraction, ...]:
-    # distinct window sums for free: consecutive powers of two
-    return tuple(Fraction(2**i) for i in range(n_gaps))
-
-
 def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     """All feasible strict orders on the pairwise increments, deterministic order."""
     if n < 1:
@@ -214,26 +209,13 @@ def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     if n == 1:
         return [()]
     space, labels = _kn_space(n)
-    out: list[tuple[KnLabel, ...]] = []
-    _chain_dfs(
-        space,
-        lambda chain: out.append(tuple(labels[i] for i in chain)),
-        root_witness=_powers_witness(space.n_gaps),
-    )
-    return out
+    return [tuple(labels[i] for i in chain) for chain in _chains(space)]
 
 
 def _count_branch(args) -> int:
     n, prefix = args
     space, _ = _kn_space(n)
-    count = 0
-
-    def bump(_chain) -> None:
-        nonlocal count
-        count += 1
-
-    _chain_dfs(space, bump, root_witness=_powers_witness(space.n_gaps), prefix=prefix)
-    return count
+    return sum(1 for _chain in _chains(space, prefix))
 
 
 COUNT_LIMIT = 9  # the table above ends here; the search tree beyond is astronomical
@@ -257,36 +239,22 @@ def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
         return 1
     cpus = os.cpu_count() or 1
     jobs = cpus if jobs is None else min(jobs, cpus)
-    space, _ = _kn_space(n)
-    masks = _containment_masks(space.windows)
-    n_items = len(space.windows)
-    full = (1 << n_items) - 1
-
     if jobs <= 1 or n <= 4:
         count = _count_branch((n, ()))
     else:
         # split the search at depth two; workers feasibility-check their prefix
-        prefixes = []
-        for c1 in range(n_items):
-            if masks[c1] & full & ~(1 << c1):
-                continue
-            rem = full & ~(1 << c1)
-            for c2 in range(n_items):
-                bit = 1 << c2
-                if not rem & bit or masks[c2] & rem & ~bit:
-                    continue
-                prefixes.append((n, (c1, c2)))
+        space, _ = _kn_space(n)
+        masks = _containment_masks(space.windows)
+        full = (1 << len(masks)) - 1
+        prefixes = [
+            (n, (c1, c2))
+            for c1 in _open_items(masks, full)
+            for c2 in _open_items(masks, full & ~(1 << c1))
+        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             count = sum(pool.map(_count_branch, prefixes))
     _count_cache[n] = count
     return count
-
-
-def golomb_reference(n: int) -> int:
-    """Golomb class count: literature table where available, else computed."""
-    if n in GOLOMB_TABLE:
-        return GOLOMB_TABLE[n]
-    return count_realizable_paths_kn(n)
 
 
 class GolombBounds(NamedTuple):
@@ -308,8 +276,16 @@ def golomb_bounds(n: int) -> GolombBounds:
 
 
 def knn_path_upper_bound(n: int) -> int:
-    """(C(2n, n) - 2) * Golomb(2n); degenerate (zero) at n = 1."""
-    bound = (math.comb(2 * n, n) - 2) * golomb_reference(2 * n)
+    """(C(2n, n) - 2) * Golomb(2n); degenerate (zero) at n = 1.
+
+    Golomb(2n) comes from GOLOMB_TABLE, so n >= 5 raises SizeGuardError.
+    """
+    if 2 * n not in GOLOMB_TABLE:
+        raise SizeGuardError(
+            f"the interleaving bound at n={n} needs Golomb({2 * n}), "
+            f"known only up to Golomb({max(GOLOMB_TABLE)})"
+        )
+    bound = (math.comb(2 * n, n) - 2) * GOLOMB_TABLE[2 * n]
     if n == 1:
         warnings.warn(
             "the interleaving bound degenerates to 0 at n=1 and cannot bound "
@@ -339,13 +315,13 @@ def arrangements(n: int) -> list[tuple[int, ...]]:
 
 def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
     pos = {v: i for i, v in enumerate(arr)}
-    labels = [(row, col) for row in range(1, n + 1) for col in range(1, n + 1)]
+    labels = []
     windows = []
-    signs = []
-    for row, col in labels:
-        a, b = pos[row], pos[n + col]
-        signs.append(1 if b > a else -1)
-        windows.append((min(a, b), max(a, b)))
+    for row in range(1, n + 1):
+        for col in range(1, n + 1):
+            a, b = pos[row], pos[n + col]
+            labels.append((row, col, 1 if b > a else -1))
+            windows.append((min(a, b), max(a, b)))
     eq_rows: tuple = ()
     if balanced:
         # party-sum equality in shifted gap vars: sum_i c_i (y_i + 1) = 0
@@ -355,7 +331,7 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
             c = sum(1 for v in later if v <= n) - sum(1 for v in later if v > n)
             coeffs.append(c)
         eq_rows = ((tuple(coeffs), -sum(coeffs)),)
-    return _ChainSpace(tuple(windows), 2 * n - 1, eq_rows), labels, signs
+    return _ChainSpace(tuple(windows), 2 * n - 1, eq_rows), labels
 
 
 def enumerate_realizable_orderings_knn(
@@ -374,15 +350,8 @@ def enumerate_realizable_orderings_knn(
         raise SizeGuardError("bipartite ordering enumeration is guarded to n <= 3")
     out: list[tuple[tuple[int, ...], tuple[KnnLabel, ...]]] = []
     for arr in arrangements(n):
-        space, labels, signs = _knn_space(n, arr, balanced)
-        root = None if balanced else _powers_witness(space.n_gaps)
-
-        def emit(chain: tuple[int, ...], arr=arr, labels=labels, signs=signs) -> None:
-            out.append(
-                (arr, tuple((labels[i][0], labels[i][1], signs[i]) for i in chain))
-            )
-
-        _chain_dfs(space, emit, root_witness=root)
+        space, labels = _knn_space(n, arr, balanced)
+        out.extend((arr, tuple(labels[i] for i in chain)) for chain in _chains(space))
     return out
 
 
@@ -407,15 +376,10 @@ def _feasible_kn(order: IncrementOrder) -> Configuration | None:
     gaps = _chain_feasible(space, chain)
     if gaps is None:
         return None
-    x = [Fraction(0)]
-    for g in gaps:
-        x.append(x[-1] + g)
-    return Configuration(complete(n), tuple(x))
+    return Configuration(complete(n), tuple(accumulate(gaps, initial=Fraction(0))))
 
 
 def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None:
-    from .ratlp import solve_feasibility
-
     n = order.n
     # vars: party-one gaps (n-1), party-two gaps (n-1), offset+ , offset-
     ng = n - 1
@@ -449,17 +413,12 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
         coeffs[2 * ng] = n
         coeffs[2 * ng + 1] = -n
         eq_rows.append((coeffs, 0))
-    y = solve_feasibility(nv, ge_rows=ge_rows, eq_rows=eq_rows)
+    y = ratlp.solve_feasibility(nv, ge_rows=ge_rows, eq_rows=eq_rows)
     if y is None:
         return None
-    x1 = [Fraction(0)]
-    for i in range(ng):
-        x1.append(x1[-1] + y[i])
-    offset = y[2 * ng] - y[2 * ng + 1]
-    x2 = [offset]
-    for i in range(ng):
-        x2.append(x2[-1] + y[ng + i])
-    return Configuration(bipartite(n), tuple(x1 + x2))
+    x1 = accumulate(y[:ng], initial=Fraction(0))
+    x2 = accumulate(y[ng : 2 * ng], initial=y[2 * ng] - y[2 * ng + 1])
+    return Configuration(bipartite(n), (*x1, *x2))
 
 
 def verify_witness(order: IncrementOrder, config: Configuration) -> bool:

@@ -294,6 +294,23 @@ def test_dist_size_guard(capsys):
         assert code == 0 and out.startswith("lengths: 1,")
 
 
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (("dist", "--family", "kn", "--n", "5", "--bins", "100000000"), "exceeds the density limit"),
+        (("count", "--family", "knn", "--n", "7"), "interleaving bound"),
+    ],
+    ids=["dist-bins", "count-knn"],
+)
+def test_guards_refuse_before_work(argv, fault, capsys):
+    # neither the bins nor the n=7 bipartite diagram (2,760,615 codes) is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 3 and out == ""
+    assert fault in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_witness_commands(capsys):
     code, out, err = run_cli(
         "witness", "--family", "kn", "--code", "2,2,4,4", "--eps", "1", capsys=capsys

@@ -226,6 +226,8 @@ def test_density_export_guard():
         density_export(Family.COMPLETE, 61, 10)
     with pytest.raises(SizeGuardError):
         density_export(Family.BIPARTITE, 21, 10)
+    with pytest.raises(SizeGuardError):
+        density_export(Family.COMPLETE, 5, 10**5 + 1)
 
 
 def test_distribution_json():

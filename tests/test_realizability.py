@@ -123,6 +123,35 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
     assert seen == [3]
 
 
+@pytest.mark.parametrize(
+    "enumerate_rows, calls",
+    [
+        (lambda: enumerate_realizable_orderings_kn(4), 20),
+        (lambda: enumerate_realizable_orderings_kn(5), 431),
+        (lambda: enumerate_realizable_orderings_knn(2), 28),
+        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), 10),
+        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), 1314),
+    ],
+    ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced"],
+)
+def test_lp_call_counts_are_pinned(enumerate_rows, calls, monkeypatch):
+    # an extra root LP or a weaker witness-reuse test shows up as more calls;
+    # the counter wraps the module attribute, which the search must resolve
+    # at call time
+    from syncpaths import ratlp
+
+    solve = ratlp.solve_feasibility
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ratlp, "solve_feasibility", counted)
+    enumerate_rows()
+    assert len(seen) == calls
+
+
 def test_kn4_orderings_match_reference():
     assert set(enumerate_realizable_orderings_kn(4)) == set(reference.KN4_ORDERINGS)
 
@@ -177,7 +206,7 @@ def test_count_size_guard():
 
     with pytest.raises(SizeGuardError):
         count_realizable_paths_kn(10)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="interleaving bound"):
         knn_path_upper_bound(5)  # needs the unavailable Golomb(10)
 
 
