@@ -1,13 +1,17 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from syncpaths.codes import (
+    CODES,
     encode_kn,
     encode_knn,
     enumerate_phi_n,
     enumerate_phi_nn,
 )
+from syncpaths.graphs import Family
 from syncpaths.witness import (
     forest_decomposition,
     overlap_blocks,
@@ -64,6 +68,24 @@ def test_witness_kn_roundtrip_exhaustive():
                 w = witness_kn(code, eps)
                 assert w.is_ordered()
                 assert encode_kn(w, eps) == code
+
+
+def test_witness_coordinates_pinned():
+    # the exact coordinates of every witness, not only their encodings: a
+    # rewrite of either construction must reproduce them value for value
+    rows = []
+    for family, build, sizes in (
+        (Family.COMPLETE, witness_kn, range(1, 8)),
+        (Family.BIPARTITE, witness_knn, range(1, 5)),
+    ):
+        for n in sizes:
+            for eps in (Fraction(1), Fraction(1, 100)):
+                for code in CODES[family].codes(n):
+                    rows.append([str(v) for v in build(code, eps).values])
+    assert len(rows) == 5174
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "eb95ebe6ae702aa8b77de145a4a3d8459afd325b97e588f8ab06ad4e6aebf67c"
+    )
 
 
 def test_witness_scaling():
