@@ -46,6 +46,11 @@ from .realizability import (
 from .verify import report_to_json, run_verify
 from .witness import witness_kn, witness_knn
 
+# the realizable-path search takes about 10 s serially at n=6 (2-core VM,
+# CPython 3.11) and grows steeply with n; above it `count` reports the
+# Golomb reference instead
+COUNT_SEARCH_MAX_N = 6
+
 
 def _converter(parse, ok, requirement: str):
     """An argparse type whose every rejection names the option and the requirement."""
@@ -190,7 +195,7 @@ def cmd_count(args) -> int:
         "admissible_paths": str(sum(count_admissible_paths(diagram, s) for s in diagram.starts)),
     }
     if spec.family is Family.COMPLETE:
-        if spec.n > args.max_count_n:
+        if spec.n > COUNT_SEARCH_MAX_N:
             report["realizable_paths"] = None
             if spec.n in GOLOMB_TABLE:
                 report["realizable_reference"] = str(GOLOMB_TABLE[spec.n])
@@ -312,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--max-count-n", type=int, default=6)
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default and cap: os.cpu_count())")
     p.set_defaults(func=cmd_count)

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,16 +39,15 @@ class KuramotoParams:
 
     sigma: float = 1.0
     step: float | None = None
-    crossing_tol: float = 1e-10
     horizon: float | None = None
+    # a crossing time's bisection bracket, and the least gap between two crossings
+    crossing_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.step is not None and self.step <= 0:
             raise ValueError("step must be positive")
-        if self.crossing_tol <= 0:
-            raise ValueError("crossing_tol must be positive")
 
     def effective_step(self, eps: float, n: int) -> float:
         if self.step is not None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,14 +284,7 @@ def knn_path_upper_bound(n: int) -> int:
             f"the interleaving bound at n={n} needs Golomb({2 * n}), "
             f"known only up to Golomb({max(GOLOMB_TABLE)})"
         )
-    bound = (math.comb(2 * n, n) - 2) * GOLOMB_TABLE[2 * n]
-    if n == 1:
-        warnings.warn(
-            "the interleaving bound degenerates to 0 at n=1 and cannot bound "
-            "the positive path count; intended for n >= 2",
-            stacklevel=2,
-        )
-    return bound
+    return (math.comb(2 * n, n) - 2) * GOLOMB_TABLE[2 * n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Constructive inverses of the encodings: configurations realizing a code.
 
-Complete family: the code is decomposed into a forest of directed trees
-rooted at its fixed points (vertex k points at its reach).  Each tree hangs
-below its root on an eps-ladder with sub-eps offsets, and consecutive roots
-are spaced far enough for the next tree's deepest vertex to clear the
-previous root.
+Complete family: vertex k points at its reach code[k-1] >= k, so the code
+is a forest of directed trees rooted at its fixed points.  One sweep from
+k = n down to 1 gives every vertex its root and depth from its parent's.
+Each tree hangs below its root on an eps-ladder with sub-eps offsets, and
+consecutive roots are spaced far enough for the next tree's deepest vertex
+to clear the previous root.
 
 Bipartite family: rows are partitioned into maximal blocks of consecutively
 overlapping column intervals, blocks are spaced 3*eps apart, and inside a
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .codes import KnCode, KnnCode, validate_kn, validate_knn
 from .errors import SyncPathsError
@@ -27,97 +29,63 @@ from .graphs import Configuration, bipartite, complete
 
 @dataclass(frozen=True)
 class WitnessForest:
-    """Directed forest of a complete-family code: vertex k points at code[k]."""
+    """Directed forest of a complete-family code: vertex k points at code[k-1]."""
 
     roots: tuple[int, ...]
     # per root: levels[0] is (root,), levels[l] the vertices at distance l
     levels: dict[int, tuple[tuple[int, ...], ...]]
-    leaves: dict[int, tuple[int, ...]]
 
     def height(self, root: int) -> int:
         return len(self.levels[root]) - 1
-
-    def width(self, root: int) -> int:
-        return len(self.leaves[root])
-
-    def path_length(self, vertex: int) -> int:
-        for root, levels in self.levels.items():
-            for l, members in enumerate(levels):
-                if vertex in members:
-                    return l
-        raise KeyError(vertex)
 
 
 def forest_decomposition(code: KnCode) -> WitnessForest:
     code = validate_kn(code)
     n = len(code)
-    roots = tuple(i for i in range(1, n + 1) if code[i - 1] == i)
-    levels: dict[int, tuple[tuple[int, ...], ...]] = {}
-    leaves: dict[int, tuple[int, ...]] = {}
-    image = set(code[i - 1] for i in range(1, n + 1) if code[i - 1] != i)
-    for root in roots:
-        tiers = [(root,)]
-        frontier = (root,)
-        while True:
-            nxt = tuple(
-                k for k in range(1, n + 1) if k != root and code[k - 1] in frontier
-            )
-            if not nxt:
-                break
-            tiers.append(nxt)
-            frontier = nxt
-        levels[root] = tuple(tiers)
-        members = [v for tier in tiers for v in tier]
-        leaves[root] = tuple(sorted(v for v in members if v not in image))
-    return WitnessForest(roots, levels, leaves)
+    place = [(0, 0)] * (n + 1)  # 1-based (root, depth)
+    for k in range(n, 0, -1):
+        parent = code[k - 1]
+        root, depth = place[parent]
+        place[k] = (k, 0) if parent == k else (root, depth + 1)
+    # a stable sort keeps each tier in increasing index, the BFS order
+    vertices = sorted(range(1, n + 1), key=place.__getitem__)
+    levels: dict[int, list[tuple[int, ...]]] = {}
+    for (root, _depth), tier in groupby(vertices, key=place.__getitem__):
+        levels.setdefault(root, []).append(tuple(tier))
+    return WitnessForest(tuple(levels), {r: tuple(t) for r, t in levels.items()})
 
 
 def witness_kn(code: KnCode, eps) -> Configuration:
     """Ordered configuration whose encoding is exactly the given code.
 
-    Root spacing uses the height of the next tree (its lowest vertex must
-    clear the previous root by more than eps).  Inside each tree, vertices
-    of tree level l sit at root - l*eps plus a sub-eps offset; a vertex's
-    offset is confined to [parent offset, next-parent offset) so that its
-    linked range in the level above is exactly up to its parent.
+    The trees of ``forest_decomposition`` are placed in root order; a root
+    sits (height of its tree + 2) * eps above the previous root, so that its
+    lowest vertex clears that root by more than eps.  A vertex of tree level
+    l sits at its root - l*eps plus a sub-eps offset.  The kids of a parent
+    are a contiguous run of their tier (the code is nondecreasing) and share
+    out evenly the offsets from their parent's up to the next parent's in
+    the tier (or up to eps), so that each kid's linked range in the level
+    above ends exactly at its parent.
     """
-    code = validate_kn(code)
+    forest = forest_decomposition(code)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = len(code)
-    forest = forest_decomposition(code)
-    x: list[Fraction | None] = [None] * (n + 1)  # 1-based
-
-    anchor = forest.height(forest.roots[0]) * eps
-    root_pos = {}
-    for idx, root in enumerate(forest.roots):
-        if idx:
-            anchor = root_pos[forest.roots[idx - 1]] + (forest.height(root) + 2) * eps
-        root_pos[root] = anchor
-
+    x = [Fraction(0)] * (len(code) + 1)  # 1-based
+    anchor = -2 * eps  # so that the first root sits at its tree's height * eps
     for root in forest.roots:
+        anchor += (forest.height(root) + 2) * eps
+        x[root] = anchor
         tiers = forest.levels[root]
-        offset = {root: Fraction(0)}
-        for l in range(1, len(tiers)):
-            parents = tiers[l - 1]
-            bound = {p: (offset[parents[i + 1]] if i + 1 < len(parents) else eps)
-                     for i, p in enumerate(parents)}
-            children: dict[int, list[int]] = {}
-            for v in tiers[l]:
-                children.setdefault(code[v - 1], []).append(v)
-            for p, kids in children.items():
-                width = bound[p] - offset[p]
-                for i, v in enumerate(sorted(kids)):
-                    offset[v] = offset[p] + i * width / len(kids)
-        for l, tier in enumerate(forest.levels[root]):
-            for v in tier:
-                x[v] = root_pos[root] - l * eps + offset[v]
-
-    values = tuple(x[1:])
-    if any(v is None for v in values):
-        raise SyncPathsError(f"witness for {code} left a vertex unplaced")
-    return Configuration(complete(n), values)
+        for l, (parents, tier) in enumerate(zip(tiers, tiers[1:])):
+            following = dict(zip(parents, parents[1:]))
+            for p, run in groupby(tier, key=lambda v: code[v - 1]):
+                kids = tuple(run)
+                # the last parent of a tier shares out offsets up to eps
+                upper = x[following[p]] if p in following else anchor - (l - 1) * eps
+                for i, v in enumerate(kids):
+                    x[v] = x[p] - eps + i * (upper - x[p]) / len(kids)
+    return Configuration(complete(len(code)), tuple(x[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +167,6 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
 
     x = [Fraction(0)] * (n + 1)   # first party, 1-based
     y: list[Fraction | None] = [None] * (n + 1)  # second party by column, 1-based
-    block_meta = []
 
     base = Fraction(0)
     for lo_row, hi_row in blocks:
@@ -215,15 +182,13 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
             pos = _block_positions(ranges, lo_row, hi_row, eps, margin)
         for row in range(lo_row, hi_row + 1):
             x[row] = base + pos[row - lo_row]
-        block_meta.append((lo_row, hi_row, ranges, margin))
         base = x[hi_row] + 3 * eps
-
-    for lo_row, hi_row, ranges, margin in block_meta:
         if lo_row == hi_row:
             # single row: its covered columns sit exactly on the row
             for m in ranges:
                 y[m] = x[lo_row]
             continue
+        # each column's window reads only this block's rows
         prev = None
         for m in sorted(ranges):
             s, r = ranges[m]

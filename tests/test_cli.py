@@ -260,6 +260,18 @@ def test_count_knn(capsys):
     assert payload["realizable_orderings"] == 24  # exact enumeration
 
 
+def test_count_knn_n1_stderr_empty():
+    # a subprocess, because pytest would capture an in-process warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "syncpaths.cli", "count", "--family", "knn", "--n", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "interleaving_bound: 0\n" in proc.stdout
+
+
 def test_dist_rows(capsys):
     code, out, _ = run_cli("dist", "--family", "kn", "--n", "4", capsys=capsys)
     assert code == 0

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import types
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -196,7 +197,8 @@ def test_golomb_bounds_values():
 def test_knn_upper_bound():
     assert knn_path_upper_bound(2) == 4 * GOLOMB_TABLE[4] == 40
     assert knn_path_upper_bound(3) == 18 * GOLOMB_TABLE[6] == 46944
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # degenerate but documented: no warning
         assert knn_path_upper_bound(1) == 0
     assert knn_path_upper_bound(4) == (math.comb(8, 4) - 2) * GOLOMB_TABLE[8]
 

@@ -23,7 +23,7 @@ from syncpaths.witness import (
 def test_forest_identity():
     f = forest_decomposition((1, 2, 3, 4))
     assert f.roots == (1, 2, 3, 4)
-    assert all(f.height(r) == 0 and f.width(r) == 1 for r in f.roots)
+    assert all(f.height(r) == 0 for r in f.roots)
 
 
 def test_forest_two_trees():
@@ -31,8 +31,6 @@ def test_forest_two_trees():
     assert f.roots == (2, 4)
     assert f.levels[2] == ((2,), (1,))
     assert f.levels[4] == ((4,), (3,))
-    assert f.leaves[2] == (1,) and f.leaves[4] == (3,)
-    assert f.path_length(1) == 1 and f.path_length(2) == 0
 
 
 def test_forest_single_tree():
@@ -40,8 +38,7 @@ def test_forest_single_tree():
     f = forest_decomposition((5,) * n)
     assert f.roots == (5,)
     assert f.height(5) == 1
-    assert f.width(5) == n - 1
-    assert f.leaves[5] == (1, 2, 3, 4)
+    assert f.levels[5] == ((5,), (1, 2, 3, 4))
 
 
 def test_forest_level_ordering():
