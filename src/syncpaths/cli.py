@@ -38,6 +38,7 @@ from .graphs import (
 )
 from .realizability import (
     GOLOMB_TABLE,
+    ORDERING_LIMIT_KNN,
     count_realizable_paths_kn,
     enumerate_realizable_orderings_knn,
     golomb_bounds,
@@ -213,7 +214,7 @@ def cmd_count(args) -> int:
         report["codes"] = str(len(diagram.vertices))
         report["start_codes"] = len(diagram.starts)
         report["interleaving_bound"] = str(bound)
-        if spec.n <= 3:
+        if spec.n <= ORDERING_LIMIT_KNN:
             rows = enumerate_realizable_orderings_knn(spec.n, balanced=args.balanced)
             report["realizable_orderings"] = len(rows)
     if args.format == "json":

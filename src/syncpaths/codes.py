@@ -11,6 +11,9 @@ omega)``: row ``n`` of party one is linked exactly to party-two columns
 empty rows.  Border pairs biject with staircase polyominoes counted by
 Narayana numbers.
 
+Encoding is a binary search on the sorted parties: ``phi[n]`` and ``omega[n]`` count
+the coordinates up to ``x[n] + eps``, ``alpha[n] - 1`` those below ``x[n] - eps``.
+
 ``CODES`` maps each family to one record of its code operations, so callers
 look an operation up instead of branching on the family.
 """
@@ -18,6 +21,7 @@ look an operation up instead of branching on the family.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
@@ -96,15 +100,7 @@ def encode_kn(config: Configuration, eps) -> KnCode:
     if not config.is_ordered():
         raise ValueError("configuration must be sorted ascending")
     x = config.values
-    n = len(x)
-    code = []
-    reach = 0
-    for m in range(n):
-        reach = max(reach, m)
-        while reach + 1 < n and x[reach + 1] <= x[m] + eps:
-            reach += 1
-        code.append(reach + 1)
-    return tuple(code)
+    return tuple(bisect_right(x, v + eps) for v in x)
 
 
 def decode_kn(code: KnCode) -> frozenset[Edge]:
@@ -179,19 +175,11 @@ def encode_knn(config: Configuration, eps) -> KnnCode:
         raise ValueError("encode_knn needs a bipartite configuration")
     if not config.is_ordered():
         raise ValueError("both parties must be sorted ascending")
-    n = config.spec.n
     first, second = config.party(1), config.party(2)
-    alpha, omega = [], []
-    for xn in first:
-        if second[-1] < xn - eps:
-            alpha.append(n + 1)
-        else:
-            alpha.append(next(l for l in range(1, n + 1) if xn - eps <= second[l - 1]))
-        if second[0] > xn + eps:
-            omega.append(0)
-        else:
-            omega.append(max(l for l in range(1, n + 1) if xn + eps >= second[l - 1]))
-    return tuple(alpha), tuple(omega)
+    # a row reaching no column gets alpha = n+1 and omega = 0, the sentinels
+    alpha = tuple(bisect_left(second, v - eps) + 1 for v in first)
+    omega = tuple(bisect_right(second, v + eps) for v in first)
+    return alpha, omega
 
 
 def decode_knn(code: KnnCode) -> frozenset[Edge]:

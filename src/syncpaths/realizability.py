@@ -217,7 +217,9 @@ def _count_branch(args) -> int:
     return sum(1 for _chain in _chains(space, prefix))
 
 
-COUNT_LIMIT = 9  # the table above ends here; the search tree beyond is astronomical
+# n=7 (107498 classes) is the largest count measured to finish, in about 386 s
+# on one core; n=8 has 68 times as many classes, so its search runs for hours
+COUNT_LIMIT = 7
 
 _count_cache: dict[int, int] = {}
 
@@ -326,6 +328,11 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
     return _ChainSpace(tuple(windows), 2 * n - 1, eq_rows), labels
 
 
+# `count --family knn` reports orderings up to here: n=3 (20 interleavings of
+# 9 magnitudes) takes about 3 s, and n=4 has 70 interleavings of 16 magnitudes
+ORDERING_LIMIT_KNN = 3
+
+
 def enumerate_realizable_orderings_knn(
     n: int, balanced: bool = False
 ) -> list[tuple[tuple[int, ...], tuple[KnnLabel, ...]]]:
@@ -338,8 +345,10 @@ def enumerate_realizable_orderings_knn(
     orderable configuration; see the README section "Reference-table
     discrepancies").
     """
-    if n > 3:
-        raise SizeGuardError("bipartite ordering enumeration is guarded to n <= 3")
+    if n > ORDERING_LIMIT_KNN:
+        raise SizeGuardError(
+            f"bipartite ordering enumeration is guarded to n <= {ORDERING_LIMIT_KNN}"
+        )
     out: list[tuple[tuple[int, ...], tuple[KnnLabel, ...]]] = []
     for arr in arrangements(n):
         space, labels = _knn_space(n, arr, balanced)

@@ -18,6 +18,7 @@ coordinates are exact rationals when eps is rational.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -94,29 +95,28 @@ def witness_kn(code: KnCode, eps) -> Configuration:
 
 def overlap_blocks(code: KnnCode) -> list[tuple[int, int]]:
     """Maximal runs of rows whose consecutive column intervals intersect."""
-    alpha, omega = validate_knn(code)
+    return _blocks(*validate_knn(code))
+
+
+def _blocks(alpha, omega) -> list[tuple[int, int]]:
+    # the borders rise, so (1-based) row meets row + 1 iff the next row's
+    # alpha[row] is at most omega[row - 1]; a block ends where they miss
     n = len(alpha)
-    blocks = []
-    start = 1
-    for row in range(1, n):
-        # overlap of [alpha[row-1], omega[row-1]] and the next row's interval
-        lo = max(alpha[row - 1], alpha[row])
-        hi = min(omega[row - 1], omega[row])
-        if lo > hi:
-            blocks.append((start, row))
-            start = row + 1
-    blocks.append((start, n))
-    return blocks
+    ends = [row for row in range(1, n) if alpha[row] > omega[row - 1]] + [n]
+    return list(zip([1] + [end + 1 for end in ends[:-1]], ends))
 
 
 def _column_ranges(alpha, omega, lo_row: int, hi_row: int):
-    """Covered columns of a block with their row ranges [s, r]."""
-    ranges = {}
-    for row in range(lo_row, hi_row + 1):
-        for m in range(alpha[row - 1], omega[row - 1] + 1):
-            s, r = ranges.get(m, (row, row))
-            ranges[m] = (min(s, row), max(r, row))
-    return ranges
+    """Covered columns of a block, ascending, with their row ranges [s, r].
+
+    The row intervals chain and both borders rise, so column m is covered by
+    the rows from the first with omega >= m to the last with alpha <= m;
+    rows of other blocks never match, as block intervals do not meet.
+    """
+    return {
+        m: (bisect_left(omega, m) + 1, bisect_right(alpha, m))
+        for m in range(alpha[lo_row - 1], omega[hi_row - 1] + 1)
+    }
 
 
 def _block_positions(ranges, lo_row: int, hi_row: int, eps: Fraction, margin: Fraction):
@@ -163,7 +163,7 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = len(alpha)
-    blocks = overlap_blocks((alpha, omega))
+    blocks = _blocks(alpha, omega)
 
     x = [Fraction(0)] * (n + 1)   # first party, 1-based
     y: list[Fraction | None] = [None] * (n + 1)  # second party by column, 1-based
@@ -190,8 +190,7 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
             continue
         # each column's window reads only this block's rows
         prev = None
-        for m in sorted(ranges):
-            s, r = ranges[m]
+        for m, (s, r) in ranges.items():
             lower = x[r] - eps
             if s > lo_row:
                 lower = max(lower, x[s - 1] + eps + margin / 2)

@@ -311,11 +311,14 @@ def test_dist_size_guard(capsys):
     [
         (("dist", "--family", "kn", "--n", "5", "--bins", "100000000"), "exceeds the density limit"),
         (("count", "--family", "knn", "--n", "7"), "interleaving bound"),
+        (("diagram", "--family", "kn", "--n", "14"), "2674440 codes exceeds the size guard"),
+        (("diagram", "--family", "knn", "--n", "7"), "2760615 codes exceeds the size guard"),
     ],
-    ids=["dist-bins", "count-knn"],
+    ids=["dist-bins", "count-knn", "diagram-kn14", "diagram-knn7"],
 )
 def test_guards_refuse_before_work(argv, fault, capsys):
-    # neither the bins nor the n=7 bipartite diagram (2,760,615 codes) is built
+    # neither the bins nor the kn14 (2,674,440 codes) or knn7 (2,760,615)
+    # diagram is built: each would need gigabytes
     t0 = time.perf_counter()
     code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 3 and out == ""

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ def test_decode_encode_knn_random():
         )
         eps = float(rng.random() * 2 + 0.05)
         assert decode_knn(encode_knn(cfg, eps)) == sync_subnetwork(cfg, eps)
+
+
+@pytest.mark.parametrize(
+    "family, decode, top", [(Family.COMPLETE, decode_kn, 4), (Family.BIPARTITE, decode_knn, 3)],
+    ids=["kn", "knn"],
+)
+def test_decode_encode_exact_ties(family, decode, top):
+    # on an integer grid at eps = 1 many pairs lie exactly eps apart, and the
+    # closed threshold links them
+    encode = CODES[family].encode
+    for n in range(1, top + 1):
+        parties = list(combinations_with_replacement(range(4), n))
+        if family is Family.BIPARTITE:
+            parties = [a + b for a in parties for b in parties]
+        for values in parties:
+            cfg = Configuration(GraphSpec(family, n), values)
+            assert decode(encode(cfg, 1)) == sync_subnetwork(cfg, 1), values
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 import types
 import warnings
 from fractions import Fraction
@@ -14,6 +15,7 @@ from syncpaths.errors import NotTypicalError, SyncPathsError
 from syncpaths.graphs import Configuration, Family, complete
 from syncpaths.realizability import (
     GOLOMB_TABLE,
+    ORDERING_LIMIT_KNN,
     IncrementOrder,
     arrangements,
     count_realizable_paths_kn,
@@ -206,8 +208,13 @@ def test_knn_upper_bound():
 def test_count_size_guard():
     from syncpaths.errors import SizeGuardError
 
+    for n in (8, 10):
+        t0 = time.perf_counter()
+        with pytest.raises(SizeGuardError):
+            count_realizable_paths_kn(n)
+        assert time.perf_counter() - t0 < 1.0  # refused before any search
     with pytest.raises(SizeGuardError):
-        count_realizable_paths_kn(10)
+        enumerate_realizable_orderings_knn(ORDERING_LIMIT_KNN + 1)
     with pytest.raises(SizeGuardError, match="interleaving bound"):
         knn_path_upper_bound(5)  # needs the unavailable Golomb(10)
 

@@ -11,6 +11,8 @@ from syncpaths.codes import (
     enumerate_phi_n,
     enumerate_phi_nn,
 )
+from syncpaths import witness
+from syncpaths.errors import InvalidCodeError
 from syncpaths.graphs import Family
 from syncpaths.witness import (
     forest_decomposition,
@@ -99,6 +101,18 @@ def test_overlap_blocks():
     # empty rows always form singleton blocks
     assert overlap_blocks(((2, 2), (1, 1))) == [(1, 1), (2, 2)]
     assert overlap_blocks(((2,), (1,))) == [(1, 1)]
+
+
+def test_witness_knn_validates_once(monkeypatch):
+    calls = []
+    real = witness.validate_knn
+    monkeypatch.setattr(witness, "validate_knn", lambda code: calls.append(code) or real(code))
+    witness_knn(((1, 2), (1, 2)), 1)
+    assert len(calls) == 1
+    # the public block splitter still validates what it is given
+    with pytest.raises(InvalidCodeError):
+        overlap_blocks(((3, 3), (1, 1)))
+    assert len(calls) == 2
 
 
 def test_witness_knn_examples():
