@@ -1,11 +1,18 @@
 """Hot numeric kernel: fixed-step RK4 with threshold-crossing detection.
 
 The integrator below dominates the runtime of every nonlinear-flow
-computation.  It runs over plain Python float lists: every caller integrates
-one configuration with a handful of vertices, where per-element numpy access
-costs more than the arithmetic.  Each sum is accumulated left to right in a
-fixed vertex order, never with ``sum()`` (compensated since Python 3.12), so
-a run's event times are reproducible bit for bit.
+computation.  Every caller integrates one configuration with a handful of
+vertices, so the cost of a step is interpreter overhead, not ``sin``.  The
+kernel therefore compiles one straight-line RK4 step per graph size
+``(n, n_party)``: no loops, no lists between stages, plain float locals.
+
+Each stage computes ``sin(x_u - x_v)`` once per coupled pair with u > v and
+uses its negation for the mirrored term.  That is exact: IEEE subtraction
+is antisymmetric, ``x_v - x_u == -(x_u - x_v)``, and libm's ``sin`` is odd.
+Each velocity is one flat left-to-right sum over the other vertices in
+vertex order, never ``sum()`` (compensated since Python 3.12), so a run's
+event times are reproducible bit for bit.  The self term sin(0) = 0 is left
+out; adding it could only change the sign of a zero sum.
 
 Status codes returned by ``integrate_events``:
     0  subnetwork completed
@@ -16,45 +23,61 @@ Status codes returned by ``integrate_events``:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sin
 
-# No compiled variant exists; perfbench/run.py still reports this flag.
+# No numba variant exists; perfbench/run.py still reports this flag.
 NUMBA_ENABLED = False
 
 
-def kuramoto_rhs(x, sigma, n_party):
-    """Phase velocities; n_party == 0 means all-to-all, else bipartite parties."""
-    if n_party == 0:  # the hot case: its own loop is ~7% faster than the shared one
-        out = []
-        for xv in x:
-            acc = 0.0
-            for xu in x:
-                acc += sin(xu - xv)
-            out.append(sigma * acc)
-        return out
-    first, second = x[:n_party], x[n_party:]
-    out = []
-    for own, others in ((first, second), (second, first)):
-        for xv in own:
-            acc = 0.0
-            for xu in others:
-                acc += sin(xu - xv)
-            out.append(sigma * acc)
-    return out
+def _velocities(n, n_party, pos, out):
+    """Source lines of one RK4 stage: velocities ``out<v>`` at positions ``pos<v>``."""
+    if n_party == 0:
+        coupled = [[u for u in range(n) if u != v] for v in range(n)]
+    else:
+        coupled = [range(n_party, n) if v < n_party else range(n_party) for v in range(n)]
+    lines = [
+        f"    s{u}_{v} = sin({pos}{u} - {pos}{v})"
+        for v in range(n) for u in coupled[v] if u > v
+    ]
+    for v in range(n):
+        terms = [f"s{u}_{v}" if u > v else f"-s{v}_{u}" for u in coupled[v]]
+        total = " + ".join(terms).replace(" + -", " - ") or "0.0"
+        lines.append(f"    {out}{v} = sigma * ({total})")
+    return lines
+
+
+@lru_cache
+def _step_function(n, n_party):
+    """Compile the RK4 step ``(x, sigma, h) -> new x`` of one graph size.
+
+    For K_3 the first stage reads ``s1_0 = sin(x1 - x0)``, ``s2_0 = ...``,
+    ``s2_1 = ...``, then ``a1 = sigma * (-s1_0 + s2_1)`` and so on; the next
+    stages do the same at ``y``, ``z`` and ``w``.
+    """
+    xs = ", ".join(f"x{v}" for v in range(n))
+    lines = ["def step(x, sigma, h):", f"    {xs}, = x", "    half = 0.5 * h"]
+    for pos, out, nxt, scale in (("x", "a", "y", "half"), ("y", "b", "z", "half"),
+                                 ("z", "c", "w", "h"), ("w", "d", None, None)):
+        lines += _velocities(n, n_party, pos, out)
+        if nxt:
+            lines += [f"    {nxt}{v} = x{v} + {scale} * {out}{v}" for v in range(n)]
+    lines.append("    sixth = h / 6.0")
+    lines.append("    return [" + ", ".join(
+        f"x{v} + sixth * (a{v} + 2.0 * b{v} + 2.0 * c{v} + d{v})" for v in range(n)
+    ) + "]")
+    namespace = {"sin": sin}
+    exec(compile("\n".join(lines), f"<rk4 step n={n} n_party={n_party}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def rk4_step(x, sigma, n_party, h):
-    """One classical RK4 step of size h from state x; returns the new state."""
-    half = 0.5 * h
-    k1 = kuramoto_rhs(x, sigma, n_party)
-    k2 = kuramoto_rhs([xi + half * ki for xi, ki in zip(x, k1)], sigma, n_party)
-    k3 = kuramoto_rhs([xi + half * ki for xi, ki in zip(x, k2)], sigma, n_party)
-    k4 = kuramoto_rhs([xi + h * ki for xi, ki in zip(x, k3)], sigma, n_party)
-    sixth = h / 6.0
-    return [
-        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ]
+    """One classical RK4 step of size h from state x; returns the new state.
+
+    n_party == 0 means all-to-all coupling, else bipartite parties of sizes
+    n_party and len(x) - n_party.
+    """
+    return _step_function(len(x), n_party)(x, sigma, h)
 
 
 def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pairs, active0):

@@ -140,6 +140,15 @@ def laplacian_trajectory_knn(config: Configuration, t: float) -> Configuration:
     return Configuration(config.spec, tuple(out))
 
 
+def rk4_linear_step(mat: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of size h of the linear flow x' = mat @ x."""
+    k1 = mat @ x
+    k2 = mat @ (x + 0.5 * h * k1)
+    k3 = mat @ (x + 0.5 * h * k2)
+    k4 = mat @ (x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def rk4_linear_trajectory(config: Configuration, t: float, step: float = 1e-3) -> Configuration:
     """RK4 integration of the linear flow; cross-validates the closed forms."""
     mat = laplacian(config.spec).astype(np.float64)
@@ -147,11 +156,7 @@ def rk4_linear_trajectory(config: Configuration, t: float, step: float = 1e-3) -
     remaining = t
     while remaining > 1e-15:
         h = min(step, remaining)
-        k1 = mat @ x
-        k2 = mat @ (x + 0.5 * h * k1)
-        k3 = mat @ (x + 0.5 * h * k2)
-        k4 = mat @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = rk4_linear_step(mat, x, h)
         remaining -= h
     return Configuration(config.spec, tuple(x))
 

@@ -9,7 +9,6 @@ is ``1..n`` and party two is ``n+1..2n``.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,12 +144,8 @@ def configuration_from_json(text: str) -> Configuration:
     return Configuration(GraphSpec(Family(obj.get("family")), obj["n"]), values)
 
 
-@functools.lru_cache(maxsize=16)
 def laplacian(spec: GraphSpec) -> np.ndarray:
-    """Coupling matrix of the linear flow: symmetric, zero row sums, -degree diagonal.
-
-    Cached and read-only: a step-by-step RK4 asks for it at every step.
-    """
+    """Coupling matrix of the linear flow: symmetric, zero row sums, -degree diagonal."""
     size = spec.vertex_count
     mat = np.zeros((size, size), dtype=np.int64)
     for u, v in spec.edges():
@@ -158,7 +153,6 @@ def laplacian(spec: GraphSpec) -> np.ndarray:
         mat[v - 1, u - 1] = 1
     for i in range(size):
         mat[i, i] = -mat[i].sum()
-    mat.flags.writeable = False
     return mat
 
 

@@ -319,6 +319,56 @@ def test_kuramoto_balanced_pair_party_is_tied():
         kuramoto_sequence(cfg, KuramotoParams(), 1e-3)
 
 
+def _oracle_rhs(x, sigma, n_party):
+    """Reference phase velocities: one loop per vertex, self term included."""
+    if n_party == 0:
+        groups = ((x, x),)
+    else:
+        groups = ((x[:n_party], x[n_party:]), (x[n_party:], x[:n_party]))
+    out = []
+    for own, others in groups:
+        for xv in own:
+            acc = 0.0
+            for xu in others:
+                acc += math.sin(xu - xv)
+            out.append(sigma * acc)
+    return out
+
+
+def _oracle_rk4_step(x, sigma, n_party, h):
+    """Reference RK4 step over lists, stage by stage."""
+    half = 0.5 * h
+    k1 = _oracle_rhs(x, sigma, n_party)
+    k2 = _oracle_rhs([xi + half * ki for xi, ki in zip(x, k1)], sigma, n_party)
+    k3 = _oracle_rhs([xi + half * ki for xi, ki in zip(x, k2)], sigma, n_party)
+    k4 = _oracle_rhs([xi + h * ki for xi, ki in zip(x, k3)], sigma, n_party)
+    sixth = h / 6.0
+    return [
+        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+
+
+def test_rk4_step_is_bit_identical_to_loop_oracle():
+    # The compiled step takes one sine per coupled pair and negates it for
+    # the mirrored term; sin is odd and subtraction antisymmetric, so every
+    # output must equal the per-vertex loop exactly, not approximately.
+    rng = np.random.default_rng(12)
+    shapes = [(n, 0) for n in range(1, 9)] + [(2 * n, n) for n in range(1, 5)]
+    for size, n_party in shapes:
+        for trial in range(60):
+            scale = rng.choice([1e-4, 0.05, 0.7])
+            x = [float(v) for v in rng.uniform(-scale, scale, size)]
+            if trial % 5 == 0 and size > 1:
+                x[1] = x[0]  # an exact tie: sin(+0.0) on both sides
+            sigma = float(rng.choice([1.0, 0.37, 2.5]))
+            h = float(rng.choice([1e-2, 2.5e-5, rng.random()]))
+            got = _kernels.rk4_step(x, sigma, n_party, h)
+            assert got == _oracle_rk4_step(x, sigma, n_party, h), (size, n_party, x, sigma, h)
+    x = [float(v) for v in rng.uniform(-0.5, 0.5, 40)]
+    assert _kernels.rk4_step(x, 1.0, 0, 1e-3) == _oracle_rk4_step(x, 1.0, 0, 1e-3)
+
+
 def test_kuramoto_never_swaps_coordinates():
     rng = np.random.default_rng(21)
     n = 5
