@@ -14,20 +14,28 @@ vertex order, never ``sum()`` (compensated since Python 3.12), so a run's
 event times are reproducible bit for bit.  The self term sin(0) = 0 is left
 out; adding it could only change the sign of a zero sum.
 
-Status codes returned by ``integrate_events``:
-    0  subnetwork completed
-    1  horizon exhausted before completion
-    2  two crossings closer than the bisection tolerance (not typical)
-    3  a synchronized pair desynchronized (outside the monotone regime)
+``integrate_events`` owns a run: it refuses a horizon above ``MAX_RK4_STEPS``
+before any work, looks the compiled step up once per run, and raises the
+regime errors itself: ``NotTypicalError`` for two crossings within the bisection
+tolerance, ``UnsynchronizedError`` for an exhausted horizon, and the bare
+``SyncPathsError`` for a synchronized pair that separates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import sin
+from math import ceil, inf, sin
+
+from .errors import NotTypicalError, SizeGuardError, SyncPathsError, UnsynchronizedError
 
 # No numba variant exists; perfbench/run.py still reports this flag.
 NUMBA_ENABLED = False
+
+# Upper bound on the RK4 steps a Kuramoto horizon may need, checked before the
+# kernel starts.  The largest bound the tests, the verify checks and the
+# benchmark compute is 1474522 (`simulate --family kn --n 4 --flow kuramoto
+# --seed 7 --eps 0.001`); the benchmark's K_{3,3} run at eps 1e-3 needs 1426476.
+MAX_RK4_STEPS = 10**7
 
 
 def _velocities(n, n_party, pos, out):
@@ -71,49 +79,44 @@ def _step_function(n, n_party):
     return namespace["step"]
 
 
-def rk4_step(x, sigma, n_party, h):
-    """One classical RK4 step of size h from state x; returns the new state.
+def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs):
+    """Integrate from x0 until every monitored pair is within eps.
 
-    n_party == 0 means all-to-all coupling, else bipartite parties of sizes
-    n_party and len(x) - n_party.
+    pairs lists the 0-based endpoints (u, v) of the monitored pairs; those
+    within eps at t=0 are synchronized from the start.  n_party is 0 for
+    all-to-all coupling, else the size of the first bipartite party.
+    Crossing times are refined by bisection (re-stepping from the pre-step
+    state) to crossing_tol.  Returns (event_times, event_pairs), the events
+    as lists of times and pair indices in order of occurrence.
     """
-    return _step_function(len(x), n_party)(x, sigma, h)
-
-
-def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pairs, active0):
-    """Integrate until every monitored pair is within eps.
-
-    pairs lists the 0-based endpoints (u, v) of the monitored pairs; active0
-    marks pairs already within eps at t=0.  Crossing times are refined by
-    bisection (re-stepping from the pre-step state) to crossing_tol.
-
-    Returns (event_times, event_pairs, status), the events as lists of times
-    and pair indices in order of occurrence.
-    """
+    steps = horizon / step if step else inf  # a zero step never ends
+    if steps > MAX_RK4_STEPS:
+        raise SizeGuardError(
+            f"horizon {horizon:.3g} at step {step:.3g} needs {steps:.3g} RK4 steps, "
+            f"above the guard {MAX_RK4_STEPS}"
+        )
+    rk4 = _step_function(len(x0), n_party)
     x = list(x0)
-    active = [(u, v) for (u, v), on in zip(pairs, active0) if on]
-    pending = [(i, u, v) for i, ((u, v), on) in enumerate(zip(pairs, active0)) if not on]
-    ev_t: list[float] = []
-    ev_p: list[int] = []
-    t = 0.0
+    active = [(u, v) for u, v in pairs if abs(x[u] - x[v]) <= eps]
+    pending = [(i, u, v) for i, (u, v) in enumerate(pairs) if not abs(x[u] - x[v]) <= eps]
+    ev_t, ev_p, t = [], [], 0.0
     if not pending:
-        return ev_t, ev_p, 0
+        return ev_t, ev_p
 
-    for _ in range(max_steps):
-        xnew = rk4_step(x, sigma, n_party, step)
+    for _ in range(int(ceil(steps)) + 1):
+        xnew = rk4(x, sigma, step)
         for u, v in active:
             if abs(xnew[u] - xnew[v]) - eps > 0.0:
-                return ev_t, ev_p, 3
+                raise SyncPathsError("a synchronized pair desynchronized (outside monotone regime)")
 
         crossed = []
         for i, u, v in pending:
             if abs(xnew[u] - xnew[v]) - eps <= 0.0:
                 # bisect tau in (0, step]: the crossing of |x_u - x_v| = eps
-                lo = 0.0
-                hi = step
+                lo, hi = 0.0, step
                 while hi - lo > crossing_tol:
                     mid = 0.5 * (lo + hi)
-                    xb = rk4_step(x, sigma, n_party, mid)
+                    xb = rk4(x, sigma, mid)
                     if abs(xb[u] - xb[v]) - eps > 0.0:
                         lo = mid
                     else:
@@ -122,9 +125,8 @@ def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pai
 
         if crossed:
             crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
-            for a in range(1, len(crossed)):
-                if crossed[a][0] - crossed[a - 1][0] < crossing_tol:
-                    return ev_t, ev_p, 2
+            if any(b[0] - a[0] < crossing_tol for a, b in zip(crossed, crossed[1:])):
+                raise NotTypicalError("two crossings within crossing_tol")
             for tc, i, u, v in crossed:
                 ev_t.append(tc)
                 ev_p.append(i)
@@ -134,6 +136,6 @@ def integrate_events(x0, sigma, eps, n_party, step, crossing_tol, max_steps, pai
         x = xnew
         t += step
         if not pending:
-            return ev_t, ev_p, 0
+            return ev_t, ev_p
 
-    return ev_t, ev_p, 1
+    raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")

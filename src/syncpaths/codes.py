@@ -11,8 +11,8 @@ omega)``: row ``n`` of party one is linked exactly to party-two columns
 empty rows.  Border pairs biject with staircase polyominoes counted by
 Narayana numbers.
 
-Encoding is a binary search on the sorted parties: ``phi[n]`` and ``omega[n]`` count
-the coordinates up to ``x[n] + eps``, ``alpha[n] - 1`` those below ``x[n] - eps``.
+Encoding sweeps each sorted party once, comparing ``w - x[n]`` with eps as
+``sync_subnetwork`` does; ``w <= x[n] + eps`` can round otherwise.
 
 ``CODES`` maps each family to one record of its code operations, so callers
 look an operation up instead of branching on the family.
@@ -21,7 +21,6 @@ look an operation up instead of branching on the family.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
@@ -99,8 +98,13 @@ def encode_kn(config: Configuration, eps) -> KnCode:
         raise ValueError("encode_kn needs a complete-graph configuration")
     if not config.is_ordered():
         raise ValueError("configuration must be sorted ascending")
-    x = config.values
-    return tuple(bisect_right(x, v + eps) for v in x)
+    x, reach, code = config.values, 0, []
+    for m, v in enumerate(x, start=1):
+        reach = max(reach, m)  # m reaches itself; w - v falls as v rises, so no fallback
+        while reach < len(x) and x[reach] - v <= eps:
+            reach += 1
+        code.append(reach)
+    return tuple(code)
 
 
 def decode_kn(code: KnCode) -> frozenset[Edge]:
@@ -177,9 +181,16 @@ def encode_knn(config: Configuration, eps) -> KnnCode:
         raise ValueError("both parties must be sorted ascending")
     first, second = config.party(1), config.party(2)
     # a row reaching no column gets alpha = n+1 and omega = 0, the sentinels
-    alpha = tuple(bisect_left(second, v - eps) + 1 for v in first)
-    omega = tuple(bisect_right(second, v + eps) for v in first)
-    return alpha, omega
+    alpha, omega, lo, hi = [], [], 0, 0
+    for v in first:  # as in encode_kn, neither border falls back
+        while lo < len(second) and second[lo] - v < -eps:
+            lo += 1
+        hi = max(hi, lo)  # a column below lo has w - v < -eps, so it counts here too
+        while hi < len(second) and second[hi] - v <= eps:
+            hi += 1
+        alpha.append(lo + 1)
+        omega.append(hi)
+    return tuple(alpha), tuple(omega)
 
 
 def decode_knn(code: KnnCode) -> frozenset[Edge]:

@@ -19,14 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .codes import CODES, Code
-from .errors import NotTypicalError, SizeGuardError, SyncPathsError, UnsynchronizedError
+from .errors import NotTypicalError, SyncPathsError
 from .graphs import Configuration, Edge, Family, GraphSpec, laplacian
-
-# Upper bound on the RK4 steps a Kuramoto horizon may need, checked before the
-# kernel starts.  The largest bound the tests, the verify checks and the
-# benchmark compute is 1474522 (`simulate --family kn --n 4 --flow kuramoto
-# --seed 7 --eps 0.001`); the benchmark's K_{3,3} run at eps 1e-3 needs 1426476.
-MAX_RK4_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -313,31 +307,12 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
 
     pairs = list(spec.edges())
     ends = [(u - 1, v - 1) for u, v in pairs]
-    gaps = [abs(x0[u] - x0[v]) for u, v in ends]
-    active0 = [gap <= eps for gap in gaps]
-
     step = params.effective_step(eps, spec.n)
-    if params.horizon is not None:
-        horizon = params.horizon
-    else:
-        worst = max([*gaps, eps])  # a single vertex has no pairs
+    horizon = params.horizon
+    if horizon is None:
+        worst = max([*(abs(x0[u] - x0[v]) for u, v in ends), eps])  # a single vertex has no pairs
         horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
-    steps = horizon / step
-    if steps > MAX_RK4_STEPS:
-        raise SizeGuardError(
-            f"horizon {horizon:.3g} at step {step:.3g} needs {steps:.3g} RK4 steps, "
-            f"above the guard {MAX_RK4_STEPS}"
-        )
-    max_steps = int(math.ceil(steps)) + 1
-
-    ev_t, ev_p, status = _kernels.integrate_events(
-        x0, params.sigma, eps, n_party, step, params.crossing_tol, max_steps, ends, active0
+    ev_t, ev_p = _kernels.integrate_events(
+        x0, params.sigma, eps, n_party, step, horizon, params.crossing_tol, ends
     )
-    if status == 1:
-        raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")
-    if status == 2:
-        raise NotTypicalError("two crossings within crossing_tol")
-    if status == 3:
-        raise SyncPathsError("a synchronized pair desynchronized (outside monotone regime)")
-
     return _sequence(config, eps, ((t, pairs[p], 0) for t, p in zip(ev_t, ev_p)))

@@ -96,16 +96,13 @@ def _window_row(space: _ChainSpace, a: int, b: int):
     """Coefficients/rhs of magnitude(b) - magnitude(a) >= 1 in shifted vars."""
     coeffs = [0] * space.n_gaps
     lo, hi = space.windows[b]
-    for i in range(lo, hi):
-        coeffs[i] += 1
-    if a >= 0:
-        lo, hi = space.windows[a]
-        for i in range(lo, hi):
-            coeffs[i] -= 1
-        base = (space.windows[b][1] - space.windows[b][0]) - (hi - lo)
-    else:
-        base = space.windows[b][1] - space.windows[b][0]
-    return coeffs, 1 - base
+    coeffs[lo:hi] = [1] * (hi - lo)
+    if a < 0:  # no lower item
+        return coeffs, 1 - (hi - lo)
+    lo_a, hi_a = space.windows[a]
+    for i in range(lo_a, hi_a):
+        coeffs[i] -= 1
+    return coeffs, 1 - (hi - lo) + (hi_a - lo_a)
 
 
 def _chain_feasible(space: _ChainSpace, chain: Sequence[int], tails: Iterable[int] = ()):
@@ -297,13 +294,8 @@ def arrangements(n: int) -> list[tuple[int, ...]]:
     """All interleavings of the two (internally ordered) parties, as vertex ids."""
     out = []
     for first_positions in combinations(range(2 * n), n):
-        arr = [0] * (2 * n)
-        p1 = iter(range(1, n + 1))
-        p2 = iter(range(n + 1, 2 * n + 1))
-        fp = set(first_positions)
-        for pos in range(2 * n):
-            arr[pos] = next(p1) if pos in fp else next(p2)
-        out.append(tuple(arr))
+        p1, p2 = iter(range(1, n + 1)), iter(range(n + 1, 2 * n + 1))
+        out.append(tuple(next(p1) if pos in first_positions else next(p2) for pos in range(2 * n)))
     return out
 
 
@@ -319,11 +311,7 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
     eq_rows: tuple = ()
     if balanced:
         # party-sum equality in shifted gap vars: sum_i c_i (y_i + 1) = 0
-        coeffs = []
-        for i in range(2 * n - 1):
-            later = arr[i + 1 :]
-            c = sum(1 for v in later if v <= n) - sum(1 for v in later if v > n)
-            coeffs.append(c)
+        coeffs = [sum(1 if v <= n else -1 for v in arr[i + 1 :]) for i in range(2 * n - 1)]
         eq_rows = ((tuple(coeffs), -sum(coeffs)),)
     return _ChainSpace(tuple(windows), 2 * n - 1, eq_rows), labels
 

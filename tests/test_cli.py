@@ -57,14 +57,18 @@ def test_simulate_seeded_deterministic(capsys):
 
 
 def test_simulate_kuramoto_step_guard(capsys):
-    t0 = time.perf_counter()
-    code, out, err = run_cli(
-        "simulate", "--family", "kn", "--n", "4", "--flow", "kuramoto", "--seed", "7",
-        "--eps", "0.001", "--step", "1e-300", capsys=capsys,
-    )
-    assert code == 3 and out == ""
-    assert "RK4 steps, above the guard" in err and "Traceback" not in err
-    assert time.perf_counter() - t0 < 1.0  # refused before the kernel starts
+    for argv in (
+        ("--n", "4", "--seed", "7", "--eps", "0.001", "--step", "1e-300"),
+        # the effective step eps / (10 sigma n) underflows to 0: it never ends
+        ("--n", "3", "--sigma", "1e308"),
+        ("--n", "3", "--sigma", "4e307"),
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run_cli("simulate", "--family", "kn", "--flow", "kuramoto", *argv,
+                                 capsys=capsys)
+        assert code == 3 and out == "", argv
+        assert "RK4 steps, above the guard" in err and "Traceback" not in err, argv
+        assert time.perf_counter() - t0 < 1.0  # refused before the kernel starts
 
 
 def test_simulate_kuramoto_path_in_diagram(capsys):

@@ -207,6 +207,23 @@ def test_decode_encode_exact_ties(family, decode, top):
 
 
 @pytest.mark.parametrize(
+    "family, decode", [(Family.COMPLETE, decode_kn), (Family.BIPARTITE, decode_knn)],
+    ids=["kn", "knn"],
+)
+def test_decode_encode_float_rounding(family, decode):
+    # on a float grid of step 0.05, 1.05 - 1.0 > 0.05 although 1.0 + 0.05 == 1.05:
+    # the code must follow the rounded differences that sync_subnetwork compares
+    encode = CODES[family].encode
+    parties = list(combinations_with_replacement([1.0 + 0.05 * k for k in range(8)], 2))
+    if family is Family.BIPARTITE:
+        parties = [a + b for a in parties for b in parties]
+    for values in parties:
+        cfg = Configuration(GraphSpec(family, 2), values)
+        for eps in (0.05, 0.1, 0.15):
+            assert decode(encode(cfg, eps)) == sync_subnetwork(cfg, eps), (values, eps)
+
+
+@pytest.mark.parametrize(
     "spec, decode", [(complete(5), decode_kn), (bipartite(3), decode_knn)], ids=["kn", "knn"]
 )
 def test_code_record_moves_agree(spec, decode):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -116,6 +117,12 @@ def test_admissible_path_counts():
     assert count_admissible_paths(d, (4, 4, 4, 4)) == 1
     with pytest.raises(ValueError):
         count_admissible_paths(d, (9, 9, 9, 9))
+    # identity to sink: standard Young tableaux of the staircase (n-1, ..., 1),
+    # (n(n-1)/2)! over the hooks 2(n-i-j)+1 of its cells (i, j)
+    for n in range(1, 10):
+        hooks = math.prod(2 * (n - i - j) + 1 for i in range(1, n) for j in range(1, n - i + 1))
+        want = math.factorial(n * (n - 1) // 2) // hooks
+        assert count_admissible_paths(build_diagram(complete(n)), tuple(range(1, n + 1))) == want
 
 
 def test_path_counts_one_dp_per_diagram():

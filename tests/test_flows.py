@@ -363,10 +363,10 @@ def test_rk4_step_is_bit_identical_to_loop_oracle():
                 x[1] = x[0]  # an exact tie: sin(+0.0) on both sides
             sigma = float(rng.choice([1.0, 0.37, 2.5]))
             h = float(rng.choice([1e-2, 2.5e-5, rng.random()]))
-            got = _kernels.rk4_step(x, sigma, n_party, h)
+            got = _kernels._step_function(size, n_party)(x, sigma, h)
             assert got == _oracle_rk4_step(x, sigma, n_party, h), (size, n_party, x, sigma, h)
     x = [float(v) for v in rng.uniform(-0.5, 0.5, 40)]
-    assert _kernels.rk4_step(x, 1.0, 0, 1e-3) == _oracle_rk4_step(x, 1.0, 0, 1e-3)
+    assert _kernels._step_function(40, 0)(x, 1.0, 1e-3) == _oracle_rk4_step(x, 1.0, 0, 1e-3)
 
 
 def test_kuramoto_never_swaps_coordinates():
@@ -376,8 +376,9 @@ def test_kuramoto_never_swaps_coordinates():
     x = 0.3 * (u - u.mean())
     state = [float(v) for v in x]
     h = 1e-3
+    step = _kernels._step_function(n, 0)
     for _ in range(2000):
-        state = _kernels.rk4_step(state, 1.0, 0, h)
+        state = step(state, 1.0, h)
         assert all(state[i] <= state[i + 1] for i in range(n - 1))
 
 
@@ -432,8 +433,9 @@ def test_kuramoto_kernel_output_is_pinned():
         ]),
     ):
         state = list(x)
+        step = _kernels._step_function(len(x), n_party)
         for _ in range(100):
-            state = _kernels.rk4_step(state, 1.0, n_party, 1e-2)
+            state = step(state, 1.0, 1e-2)
         assert state == want
 
     # desync raises the bare base class; the tie raises NotTypicalError
@@ -453,6 +455,26 @@ def test_kuramoto_horizon_exhausted():
     cfg = cfg_kn(0.0, 0.003, 0.007, 0.012)
     with pytest.raises(UnsynchronizedError):
         kuramoto_sequence(cfg, KuramotoParams(horizon=0.05), 1e-3)
+
+
+def test_kuramoto_run_looks_the_step_up_once():
+    # one _step_function lookup per run, however many RK4 and bisection
+    # steps it takes, also when the horizon runs out
+    from syncpaths.errors import UnsynchronizedError
+
+    def lookups():
+        info = _kernels._step_function.cache_info()
+        return info.hits + info.misses
+
+    k4 = cfg_kn(0.0, 0.003, 0.007, 0.012)
+    for config in (k4, cfg_knn(0.0, 0.004, 0.011, 0.002, 0.006, 0.015)):
+        before = lookups()
+        assert kuramoto_sequence(config, KuramotoParams(), 1e-3).events
+        assert lookups() == before + 1
+    before = lookups()
+    with pytest.raises(UnsynchronizedError):
+        kuramoto_sequence(k4, KuramotoParams(horizon=0.05), 1e-3)
+    assert lookups() == before + 1
 
 
 def test_params_validation():
