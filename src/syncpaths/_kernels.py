@@ -18,7 +18,8 @@ out; adding it could only change the sign of a zero sum.
 before any work, looks the compiled step up once per run, and raises the
 regime errors itself: ``NotTypicalError`` for two crossings within the bisection
 tolerance, ``UnsynchronizedError`` for an exhausted horizon, and the bare
-``SyncPathsError`` for a synchronized pair that separates.
+``SyncPathsError`` for a synchronized pair that separates.  A step so large
+that a stage overflows to inf raises ``ValueError`` naming the step.
 """
 
 from __future__ import annotations
@@ -103,39 +104,44 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
     if not pending:
         return ev_t, ev_p
 
-    for _ in range(int(ceil(steps)) + 1):
-        xnew = rk4(x, sigma, step)
-        for u, v in active:
-            if abs(xnew[u] - xnew[v]) - eps > 0.0:
-                raise SyncPathsError("a synchronized pair desynchronized (outside monotone regime)")
+    try:
+        for _ in range(int(ceil(steps)) + 1):
+            xnew = rk4(x, sigma, step)
+            for u, v in active:
+                if abs(xnew[u] - xnew[v]) - eps > 0.0:
+                    raise SyncPathsError(
+                        "a synchronized pair desynchronized (outside monotone regime)"
+                    )
 
-        crossed = []
-        for i, u, v in pending:
-            if abs(xnew[u] - xnew[v]) - eps <= 0.0:
-                # bisect tau in (0, step]: the crossing of |x_u - x_v| = eps
-                lo, hi = 0.0, step
-                while hi - lo > crossing_tol:
-                    mid = 0.5 * (lo + hi)
-                    xb = rk4(x, sigma, mid)
-                    if abs(xb[u] - xb[v]) - eps > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                crossed.append((t + hi, i, u, v))
+            crossed = []
+            for i, u, v in pending:
+                if abs(xnew[u] - xnew[v]) - eps <= 0.0:
+                    # bisect tau in (0, step]: the crossing of |x_u - x_v| = eps
+                    lo, hi = 0.0, step
+                    while hi - lo > crossing_tol:
+                        mid = 0.5 * (lo + hi)
+                        xb = rk4(x, sigma, mid)
+                        if abs(xb[u] - xb[v]) - eps > 0.0:
+                            lo = mid
+                        else:
+                            hi = mid
+                    crossed.append((t + hi, i, u, v))
 
-        if crossed:
-            crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
-            if any(b[0] - a[0] < crossing_tol for a, b in zip(crossed, crossed[1:])):
-                raise NotTypicalError("two crossings within crossing_tol")
-            for tc, i, u, v in crossed:
-                ev_t.append(tc)
-                ev_p.append(i)
-                active.append((u, v))
-            pending = [p for p in pending if p[0] not in ev_p]
+            if crossed:
+                crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
+                if any(b[0] - a[0] < crossing_tol for a, b in zip(crossed, crossed[1:])):
+                    raise NotTypicalError("two crossings within crossing_tol")
+                for tc, i, u, v in crossed:
+                    ev_t.append(tc)
+                    ev_p.append(i)
+                    active.append((u, v))
+                pending = [p for p in pending if p[0] not in ev_p]
 
-        x = xnew
-        t += step
-        if not pending:
-            return ev_t, ev_p
+            x = xnew
+            t += step
+            if not pending:
+                return ev_t, ev_p
+    except ValueError:  # sin(inf): a stage overflowed
+        raise ValueError(f"RK4 step {step:.3g} at sigma {sigma:.3g} overflows to inf") from None
 
     raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")

@@ -14,6 +14,8 @@ Narayana numbers.
 Encoding sweeps each sorted party once, comparing ``w - x[n]`` with eps as
 ``sync_subnetwork`` does; ``w <= x[n] + eps`` can round otherwise.
 
+Each family's single-site moves are written once (``_kn_moves``, ``_knn_moves``):
+the diagram's arrows, the event replay (``apply_edge``) and the path walk read them.
 ``CODES`` maps each family to one record of its code operations, so callers
 look an operation up instead of branching on the family.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCodeError, NotTypicalError
 from .graphs import Configuration, Edge, Family
@@ -30,7 +32,7 @@ from .graphs import Configuration, Edge, Family
 KnCode = tuple[int, ...]
 KnnCode = tuple[tuple[int, ...], tuple[int, ...]]
 Code = KnCode | KnnCode
-Move = tuple[int, int, Code]  # (site, sign, new code); sign 0 for the complete family
+Move = tuple[int, int, Code, Edge]  # (site, sign, new code, added edge); sign 0 for K_n
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,7 @@ def validate_kn(code: Sequence[int]) -> KnCode:
     for i, v in enumerate(code, start=1):
         if not (i <= v <= n):
             raise InvalidCodeError(f"entry {i} out of range: {v}")
-    if any(a > b for a, b in zip(code, code[1:])):
+    if list(code) != sorted(code):
         raise InvalidCodeError(f"code not nondecreasing: {code}")
     return code
 
@@ -59,9 +61,7 @@ def validate_knn(code: tuple[Sequence[int], Sequence[int]]) -> KnnCode:
         raise InvalidCodeError(f"alpha out of range: {alpha}")
     if any(not (0 <= w <= n) for w in omega):
         raise InvalidCodeError(f"omega out of range: {omega}")
-    if any(a > b for a, b in zip(alpha, alpha[1:])) or any(
-        a > b for a, b in zip(omega, omega[1:])
-    ):
+    if list(alpha) != sorted(alpha) or list(omega) != sorted(omega):
         raise InvalidCodeError(f"borders not nondecreasing: {alpha}, {omega}")
     if any(a > w + 1 for a, w in zip(alpha, omega)):
         raise InvalidCodeError(f"alpha exceeds omega+1: {alpha}, {omega}")
@@ -151,22 +151,21 @@ def dyck_area(code: KnCode) -> int:
     return _kn_level(validate_kn(code))
 
 
-def successors_kn(code: KnCode) -> list[tuple[int, KnCode]]:
-    """Single-site bumps (site, new code); exactly the sites with code[n] < code[n+1]."""
-    code = validate_kn(code)
+def _kn_moves(code: KnCode, sites: Iterable[int]) -> list[Move]:
+    """The bumps at sites: code[s] + 1 joins s, wherever code[s] < code[s + 1]."""
     out = []
-    for i in range(len(code) - 1):
-        if code[i] < code[i + 1]:
-            out.append((i + 1, code[: i] + (code[i] + 1,) + code[i + 1 :]))
+    for s in sites:
+        if 0 < s < len(code) and code[s - 1] < code[s]:
+            new = list(code)  # a list copy builds faster than tuple slices
+            new[s - 1] += 1
+            out.append((s, 0, tuple(new), (s, new[s - 1])))
     return out
 
 
-def apply_edge_kn(code: KnCode, edge: Edge) -> tuple[int, int, KnCode]:
-    """(site, sign, new code) after the edge joins; edges must arrive in reach order."""
-    u, v = edge
-    if code[u - 1] != v - 1:
-        raise NotTypicalError(f"edge {edge} is not the next reach step of {code}")
-    return u, 0, code[: u - 1] + (v,) + code[u:]
+def successors_kn(code: KnCode) -> list[tuple[int, KnCode]]:
+    """Single-site bumps (site, new code); exactly the sites with code[n] < code[n+1]."""
+    code = validate_kn(code)
+    return [(site, nxt) for site, _, nxt, _ in _kn_moves(code, range(1, len(code)))]
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +225,28 @@ def _knn_level(code: KnnCode) -> int:
     return sum(w - a + 1 for a, w in zip(alpha, omega) if w >= a)
 
 
-def successors_knn(code: KnnCode) -> list[tuple[int, int, KnnCode]]:
-    """Single-site moves (site, sign, new code) staying inside the code family."""
-    alpha, omega = validate_knn(code)
-    n = len(alpha)
-    out = []
-    for i in range(n):
-        if alpha[i] > 1 and (i == 0 or alpha[i] - 1 >= alpha[i - 1]):
-            out.append((i + 1, -1, (alpha[: i] + (alpha[i] - 1,) + alpha[i + 1 :], omega)))
-        if omega[i] < n and (i == n - 1 or omega[i] + 1 <= omega[i + 1]):
-            out.append((i + 1, +1, (alpha, omega[: i] + (omega[i] + 1,) + omega[i + 1 :])))
+def _knn_moves(code: KnnCode, sites: Iterable[int]) -> list[Move]:
+    """Row s gains the column below alpha (sign -1) or above omega (+1), borders monotone."""
+    alpha, omega = code
+    n, out = len(alpha), []
+    for s in sites:
+        if 0 < s <= n:
+            a, w = alpha[s - 1], omega[s - 1]
+            if a > 1 and (s == 1 or a > alpha[s - 2]):
+                new = list(alpha)
+                new[s - 1] = a - 1
+                out.append((s, -1, (tuple(new), omega), (s, n + a - 1)))
+            if w < n and (s == n or w < omega[s]):
+                new = list(omega)
+                new[s - 1] = w + 1
+                out.append((s, +1, (alpha, tuple(new)), (s, n + w + 1)))
     return out
 
 
-def apply_edge_knn(code: KnnCode, edge: Edge) -> tuple[int, int, KnnCode]:
-    """(site, sign, new code): the new column must extend one end of its row."""
-    alpha, omega = code
-    row, col = edge[0], edge[1] - len(alpha)
-    if col == alpha[row - 1] - 1:
-        return row, -1, (alpha[: row - 1] + (col,) + alpha[row:], omega)
-    if col == omega[row - 1] + 1:
-        return row, +1, (alpha, omega[: row - 1] + (col,) + omega[row:])
-    raise NotTypicalError(f"edge {edge} does not border row {row} of {code}")
+def successors_knn(code: KnnCode) -> list[tuple[int, int, KnnCode]]:
+    """Single-site moves (site, sign, new code) staying inside the code family."""
+    code = validate_knn(code)
+    return [(s, q, nxt) for s, q, nxt, _ in _knn_moves(code, range(1, len(code[0]) + 1))]
 
 
 def start_codes_knn(n: int) -> list[tuple[KnnCode, bool]]:
@@ -317,8 +316,7 @@ class CodeFamily(NamedTuple):
     encode: Callable[[Configuration, object], Code]
     text: Callable[[Code], str]
     level: Callable[[Code], int]  # decoded edge count; the code is not validated
-    apply_edge: Callable[[Code, Edge], Move]
-    successors: Callable[[Code], list[Move]]
+    moves: Callable[[Code, Iterable[int]], list[Move]]  # the moves at the sites; not validated
     codes: Callable[[int], list[Code]]  # every code for party size n
     count: Callable[[int], int]  # len(codes(n)), in closed form
     starts: Callable[[int], list[Code]]  # the empty-subnetwork codes
@@ -330,8 +328,7 @@ CODES: dict[Family, CodeFamily] = {
         encode=encode_kn,
         text=kn_code_text,
         level=_kn_level,
-        apply_edge=apply_edge_kn,
-        successors=lambda code: [(site, 0, nxt) for site, nxt in successors_kn(code)],
+        moves=_kn_moves,
         codes=enumerate_phi_n,
         count=catalan,
         starts=lambda n: [tuple(range(1, n + 1))],
@@ -341,11 +338,18 @@ CODES: dict[Family, CodeFamily] = {
         encode=encode_knn,
         text=knn_code_text,
         level=_knn_level,
-        apply_edge=apply_edge_knn,
-        successors=successors_knn,
+        moves=_knn_moves,
         codes=enumerate_phi_nn,
         count=narayana_count,
         starts=lambda n: [code for code, _flag in start_codes_knn(n)],
         sink=lambda n: ((1,) * n, (n,) * n),
     ),
 }
+
+
+def apply_edge(family: Family, code: Code, edge: Edge) -> Move:
+    """The move of code that adds edge, whose first end is the move's site."""
+    for move in CODES[family].moves(code, (edge[0],)):
+        if move[3] == edge:
+            return move
+    raise NotTypicalError(f"edge {edge} is not a single-site move of {code}")

@@ -72,7 +72,7 @@ def build_diagram(spec: GraphSpec) -> TransitionDiagram:
     arrows = tuple(
         Arrow(v, tgt, site, sign)
         for v in vertices
-        for site, sign, tgt in family.successors(v)
+        for site, sign, tgt, _ in family.moves(v, range(1, spec.n + 1))
     )
     starts = tuple(family.starts(spec.n))
     return TransitionDiagram(spec, vertices, arrows, starts, family.sink(spec.n))

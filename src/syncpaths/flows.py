@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _kernels
-from .codes import CODES, Code
+from .codes import CODES, Code, apply_edge
 from .errors import NotTypicalError, SyncPathsError
 from .graphs import Configuration, Edge, Family, GraphSpec, laplacian
 
@@ -165,11 +165,10 @@ def _sequence(config: Configuration, eps, timed_edges) -> SyncSequence:
     direction is the sign of the edge's initial difference, or 0 where it
     is not checked; a bipartite edge must join from that side.
     """
-    family = CODES[config.spec.family]
-    initial = code = family.encode(config, eps)
+    initial = code = CODES[config.spec.family].encode(config, eps)
     events = []
     for t, edge, direction in timed_edges:
-        site, sign, code = family.apply_edge(code, edge)
+        site, sign, code, _ = apply_edge(config.spec.family, code, edge)
         if sign * direction < 0:
             raise SyncPathsError(f"edge {edge} joined from the side opposite its sign")
         events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))

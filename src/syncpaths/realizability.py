@@ -29,7 +29,7 @@ from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ratlp
-from .codes import KnCode, KnnCode, validate_kn, validate_knn
+from .codes import CODES, KnCode, KnnCode, Move, validate_kn, validate_knn
 from .errors import NotTypicalError, SizeGuardError, SyncPathsError
 from .graphs import Configuration, Family, bipartite, complete
 
@@ -97,8 +97,6 @@ def _window_row(space: _ChainSpace, a: int, b: int):
     coeffs = [0] * space.n_gaps
     lo, hi = space.windows[b]
     coeffs[lo:hi] = [1] * (hi - lo)
-    if a < 0:  # no lower item
-        return coeffs, 1 - (hi - lo)
     lo_a, hi_a = space.windows[a]
     for i in range(lo_a, hi_a):
         coeffs[i] -= 1
@@ -433,41 +431,33 @@ def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
 # paths -> orderings, configurations -> rulers
 # ---------------------------------------------------------------------------
 
+def _walk(family: Family, code, steps: Sequence[tuple[int, int]]) -> list[Move]:
+    """The moves of a (site, sign) path from code; an inadmissible step raises."""
+    rule, moves = CODES[family].moves, []
+    for site, sign in steps:
+        for move in rule(code, (site,)):
+            if move[1] == sign:
+                break
+        else:
+            raise SyncPathsError(f"inadmissible move ({site}, {sign}) from {code}")
+        moves.append(move)
+        code = move[2]
+    return moves
+
+
 def path_to_ordering_kn(initial: KnCode, sites: Sequence[int]) -> IncrementOrder:
     """Translate a jump-site path into its increment order; rejects inadmissible paths."""
-    code = list(validate_kn(initial))
-    n = len(code)
-    labels = []
-    for site in sites:
-        if not (1 <= site <= n - 1) or code[site - 1] >= code[site]:
-            raise SyncPathsError(f"inadmissible jump at site {site} from {tuple(code)}")
-        labels.append((site, code[site - 1] + 1 - site))
-        code[site - 1] += 1
-    return IncrementOrder(Family.COMPLETE, n, tuple(labels))
+    code = validate_kn(initial)
+    moves = _walk(Family.COMPLETE, code, [(site, 0) for site in sites])
+    return IncrementOrder(Family.COMPLETE, len(code), tuple((u, v - u) for *_, (u, v) in moves))
 
 
 def path_to_ordering_knn(initial: KnnCode, moves: Sequence[tuple[int, int]]) -> IncrementOrder:
     """Translate (site, sign) moves into a signed cross-difference order."""
-    alpha, omega = validate_knn(initial)
-    alpha, omega = list(alpha), list(omega)
-    n = len(alpha)
-    labels = []
-    for site, q in moves:
-        if not 1 <= site <= n:
-            raise SyncPathsError(f"site out of range: {site}")
-        if q == -1:
-            if alpha[site - 1] <= 1 or (site > 1 and alpha[site - 1] - 1 < alpha[site - 2]):
-                raise SyncPathsError(f"inadmissible move ({site}, -1)")
-            alpha[site - 1] -= 1
-            labels.append((site, alpha[site - 1], -1))
-        elif q == +1:
-            if omega[site - 1] >= n or (site < n and omega[site - 1] + 1 > omega[site]):
-                raise SyncPathsError(f"inadmissible move ({site}, +1)")
-            omega[site - 1] += 1
-            labels.append((site, omega[site - 1], +1))
-        else:
-            raise SyncPathsError(f"sign must be -1 or +1: {q}")
-    return IncrementOrder(Family.BIPARTITE, n, tuple(labels))
+    code = validate_knn(initial)
+    n = len(code[0])
+    walked = _walk(Family.BIPARTITE, code, moves)
+    return IncrementOrder(Family.BIPARTITE, n, tuple((r, v - n, q) for _, q, _, (r, v) in walked))
 
 
 def ruler_from_configuration(config: Configuration) -> tuple[int, ...]:

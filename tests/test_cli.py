@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -163,6 +164,10 @@ KN3 = ("--family", "kn", "--n", "3")
             ("witness", "--family", "kn", "--code", "2,3,3", "--eps", "1/0"),
             "--eps: must be a decimal or p/q > 0, got 1/0",
         ),
+        (
+            ("simulate", *KN3, "--flow", "kuramoto", "--step", "1e308"),
+            "RK4 step 1e+308 at sigma 1 overflows to inf",
+        ),
     ],
 )
 def test_invalid_numbers_rejected_at_entry(argv, fault, capsys):
@@ -182,8 +187,12 @@ def test_invalid_numbers_rejected_at_entry(argv, fault, capsys):
         ('{"family": "kn", "n": "3", "values": [0, 1, 2]}', "configuration JSON needs"),
         ('{"family": "kn", "n": 3, "values": 5}', "configuration JSON needs"),
         ('{"family": "kn", "n": 3, "values": [0, "1/0", 2]}', "values must be finite"),
+        ('{"family": "kn", "n": 4, "values": [0, 1, 2, 3]}', "does not match --family/--n"),
     ],
-    ids=["missing", "no-values", "list", "string-n", "scalar-values", "zero-denominator"],
+    ids=[
+        "missing", "no-values", "list", "string-n", "scalar-values", "zero-denominator",
+        "wrong-n",
+    ],
 )
 def test_bad_x_file_exits_2(body, fault, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -395,3 +404,51 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("lengths: 1,1,2,1")
+
+
+# Every command once or more, with exits 0, 1, 2 and 3: (argv, exit code, and
+# the first 16 hex digits of the sha256 of stdout and of stderr).
+CLI_CORPUS = [
+    ("simulate --family kn --n 4 --eps 1 --x 0,2,5,9", 0, "afc03968fdf464ad", "b294583c660849da"),
+    ("simulate --family kn --n 4 --eps 0.5 --x 0,1,3,4", 2, "e3b0c44298fc1c14", "207d22eef8c89378"),
+    ("simulate --family kn --n 3 --eps 1 --x 2,2,2", 0, "c743e16f79ef36f7", "2854d0de8cec37c7"),
+    ("simulate --family kn --n 3 --x nan,0,1", 2, "e3b0c44298fc1c14", "b9109697230d609f"),
+    ("simulate --family kn --n 4 --seed 7 --flow kuramoto --eps 0.001", 0, "12cc9935e818bb53", "b294583c660849da"),
+    ("simulate --family knn --n 3 --flow kuramoto --seed 12 --eps 0.001", 1, "e3b0c44298fc1c14", "d02bbe2190f30c8d"),
+    ("simulate --family kn --n 3 --flow kuramoto --step 1e308", 2, "e3b0c44298fc1c14", "b7c4b0745519e9bc"),
+    ("simulate --family kn --n 3 --flow kuramoto --step 1e200", 1, "e3b0c44298fc1c14", "1db2d2b652bdef36"),
+    ("simulate --family kn --n 3 --flow kuramoto --sigma 1e308", 3, "e3b0c44298fc1c14", "f35ad6212114fb5b"),
+    ("simulate --family knn --n 3 --eps 0.001 --seed 11 --balanced", 0, "d2548d0353a89baa", "4d1e56a088d1a6c3"),
+    ("simulate --family knn --n 2 --eps 0.5 --x 0,3,0.5,3.5", 2, "e3b0c44298fc1c14", "1eebb8d6ec2b09c6"),
+    ("encode --family kn --n 4 --eps 1 --x 0,1,3,4", 0, "a9fcce09a5bc66da", "e3b0c44298fc1c14"),
+    ("encode --family knn --n 2 --eps 1 --x 0,3,1,2", 0, "a5aa70d4435e11a3", "e3b0c44298fc1c14"),
+    ("diagram --family kn --n 4", 0, "043b1641a66da4c8", "d82fe325c0781877"),
+    ("diagram --family knn --n 2 --format json", 0, "03261f2fbb32f7d9", "faff5c2ca7d4f2e4"),
+    ("diagram --family kn --n 14", 3, "e3b0c44298fc1c14", "042e16c0f09242eb"),
+    ("count --family kn --n 4 --jobs 1 --format json", 0, "c519e964d425cf10", "e3b0c44298fc1c14"),
+    ("count --family kn --n 7 --jobs 1", 0, "4597daad6791ba59", "e3b0c44298fc1c14"),
+    ("count --family knn --n 2 --jobs 1", 0, "a3d72748c0c1eaf6", "e3b0c44298fc1c14"),
+    ("count --family knn --n 1 --jobs 1", 0, "27f8296ded384c3d", "e3b0c44298fc1c14"),
+    ("count --family knn --n 7 --jobs 1", 3, "e3b0c44298fc1c14", "2a538a697d763e00"),
+    ("dist --family kn --n 4", 0, "ab9a81e23db7ef74", "e3b0c44298fc1c14"),
+    ("dist --family knn --n 2 --format json", 0, "2d0f994d1db015b1", "e3b0c44298fc1c14"),
+    ("dist --family kn --n 8 --bins 10", 0, "31499194ea0bad6e", "e3b0c44298fc1c14"),
+    ("dist --family kn --n 3000", 3, "e3b0c44298fc1c14", "fbd2b1603080804e"),
+    ("witness --family kn --code 2,2,4,4 --eps 1", 0, "d26d3bf9c6b8fda2", "5f288a1d0fd9a186"),
+    ("witness --family knn --code 1,2|1,2", 0, "f8068e1402dec66b", "5f288a1d0fd9a186"),
+    ("witness --family kn --code 3,2,1", 2, "e3b0c44298fc1c14", "c46fc1a73c687e01"),
+    ("verify --report", 2, "e3b0c44298fc1c14", "44c99523a25224aa"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, out_sha, err_sha", CLI_CORPUS, ids=[c[0] for c in CLI_CORPUS]
+)
+def test_cli_corpus_pinned(argv, exit_code, out_sha, err_sha, capsys):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse rejections
+        code = exc.code
+    out, err = capsys.readouterr()
+    digest = [hashlib.sha256(s.encode()).hexdigest()[:16] for s in (out, err)]
+    assert (code, *digest) == (exit_code, out_sha, err_sha), (out, err)

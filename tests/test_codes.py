@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from syncpaths.codes import (
     CODES,
+    apply_edge,
     catalan,
     decode_kn,
     decode_knn,
@@ -27,7 +28,7 @@ from syncpaths.codes import (
     validate_polyomino,
 )
 from syncpaths.diagram import build_diagram
-from syncpaths.errors import InvalidCodeError
+from syncpaths.errors import InvalidCodeError, NotTypicalError
 from syncpaths.graphs import Configuration, Family, GraphSpec, bipartite, complete, sync_subnetwork
 
 
@@ -227,12 +228,14 @@ def test_decode_encode_float_rounding(family, decode):
     "spec, decode", [(complete(5), decode_kn), (bipartite(3), decode_knn)], ids=["kn", "knn"]
 )
 def test_code_record_moves_agree(spec, decode):
-    # successors (the diagram's arrows) and apply_edge are written separately:
-    # each arrow must be the move apply_edge makes for the one edge it adds
+    # each arrow must be the move apply_edge finds for the one edge the
+    # decoded subnetwork gains, so the edge a move records is the decoded one
     record = CODES[spec.family]
     for arrow in build_diagram(spec).arrows:
         (edge,) = decode(arrow.target) - decode(arrow.source)
-        assert record.apply_edge(arrow.source, edge) == (arrow.site, arrow.sign, arrow.target)
+        assert apply_edge(spec.family, arrow.source, edge)[:3] == (
+            arrow.site, arrow.sign, arrow.target
+        )
     for n in range(1, 5):
         codes = record.codes(n)
         assert record.count(n) == len(codes)
@@ -240,3 +243,16 @@ def test_code_record_moves_agree(spec, decode):
         assert set(record.starts(n)) <= set(codes) and record.sink(n) in codes
         assert all(record.level(start) == 0 for start in record.starts(n))
         assert record.level(record.sink(n)) == GraphSpec(spec.family, n).edge_count
+
+
+@pytest.mark.parametrize(
+    "family, code, edge",
+    [
+        (Family.COMPLETE, (1, 2, 3), (1, 3)),  # site 1 reaches 2 next, not 3
+        (Family.COMPLETE, (2, 2, 3), (1, 3)),  # the bump would break monotonicity
+        (Family.BIPARTITE, ((1, 2), (0, 1)), (1, 4)),  # column 2 borders no end of row 1
+    ],
+)
+def test_apply_edge_rejects_non_moves(family, code, edge):
+    with pytest.raises(NotTypicalError):
+        apply_edge(family, code, edge)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from syncpaths import codes
 from syncpaths.codes import catalan, narayana_count, start_codes_knn, successors_kn, successors_knn
 from syncpaths.diagram import (
     build_diagram,
@@ -198,3 +199,12 @@ def test_export_json_schema():
     d2 = json.loads(export_json(build_diagram(bipartite(2))))
     assert len(d2["vertices"]) == narayana_count(2)
     assert any(a["sign"] == -1 for a in d2["arrows"])
+
+
+def test_build_diagram_validates_no_code(monkeypatch):
+    # the codes come from enumerate_phi_n, so the moves are read unvalidated
+    calls = []
+    real = codes.validate_kn
+    monkeypatch.setattr(codes, "validate_kn", lambda code: calls.append(code) or real(code))
+    assert len(build_diagram(complete(6)).vertices) == 132
+    assert calls == []

@@ -91,8 +91,9 @@ def test_path_to_ordering_rejects_inadmissible():
 def test_path_to_ordering_knn_moves():
     order = path_to_ordering_knn(((1, 3), (0, 2)), ((1, +1), (2, -1)))
     assert order.labels == ((1, 1, 1), (2, 2, -1))
-    with pytest.raises(SyncPathsError):
-        path_to_ordering_knn(((1, 1), (0, 0)), ((1, -1),))
+    for bad in ((1, -1), (3, +1), (1, 0)):  # alpha at 1, site beyond n, no sign
+        with pytest.raises(SyncPathsError):
+            path_to_ordering_knn(((1, 1), (0, 0)), (bad,))
 
 
 def test_golomb_counts_small():
@@ -328,7 +329,7 @@ def test_knn_balanced_n3_regression():
 def test_knn_orderings_induce_admissible_paths():
     # every feasible ordering replays as a single-site diagram path from its
     # arrangement's start code down to the complete code
-    from syncpaths.codes import apply_edge_knn, encode_knn, start_codes_knn
+    from syncpaths.codes import apply_edge, encode_knn, start_codes_knn
 
     starts = {code for code, _flag in start_codes_knn(2)}
     for arr, labels in enumerate_realizable_orderings_knn(2):
@@ -341,7 +342,7 @@ def test_knn_orderings_induce_admissible_paths():
         code = encode_knn(witness, eps)
         assert code in starts
         for r, c, _q in labels:
-            _site, _sign, code = apply_edge_knn(code, (r, 2 + c))
+            _site, _sign, code, _edge = apply_edge(Family.BIPARTITE, code, (r, 2 + c))
         assert code == ((1, 1), (2, 2))
 
 
