@@ -20,6 +20,7 @@ import numpy as np
 
 from .codes import CODES, parse_code_text
 from .diagram import build_diagram, count_admissible_paths, export_dot, export_json
+from .diagram import guarded_code_count, kn_admissible_paths
 from .distributions import density_export, length_distribution, summary
 from .errors import InvalidCodeError, NotTypicalError, SizeGuardError, SyncPathsError
 from .flows import (
@@ -187,14 +188,16 @@ def cmd_diagram(args) -> int:
 
 def cmd_count(args) -> int:
     spec = GraphSpec(Family(args.family), args.n)
-    # the bipartite bound refuses n >= 5 before the diagram is built
-    bound = knn_path_upper_bound(spec.n) if spec.family is Family.BIPARTITE else None
-    diagram = build_diagram(spec)
-    report: dict = {
-        "family": spec.family.value,
-        "n": spec.n,
-        "admissible_paths": str(sum(count_admissible_paths(diagram, s) for s in diagram.starts)),
-    }
+    if spec.family is Family.COMPLETE:
+        # closed forms; the diagram is not built, but its size guard still refuses
+        codes, paths = guarded_code_count(spec), kn_admissible_paths(spec.n)
+    else:
+        # the bipartite bound refuses n >= 5 before the diagram is built
+        bound = knn_path_upper_bound(spec.n)
+        diagram = build_diagram(spec)
+        codes = len(diagram.vertices)
+        paths = sum(count_admissible_paths(diagram, s) for s in diagram.starts)
+    report: dict = {"family": spec.family.value, "n": spec.n, "admissible_paths": str(paths)}
     if spec.family is Family.COMPLETE:
         if spec.n > COUNT_SEARCH_MAX_N:
             report["realizable_paths"] = None
@@ -209,9 +212,9 @@ def cmd_count(args) -> int:
                 "upper_thrall": str(bounds.upper_thrall),
                 "upper_factorial": str(bounds.upper_factorial),
             }
-        report["codes"] = str(len(diagram.vertices))
+        report["codes"] = str(codes)
     else:
-        report["codes"] = str(len(diagram.vertices))
+        report["codes"] = str(codes)
         report["start_codes"] = len(diagram.starts)
         report["interleaving_bound"] = str(bound)
         if spec.n <= ORDERING_LIMIT_KNN:

@@ -8,6 +8,7 @@ programming in reverse topological (level) order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,12 +63,18 @@ class TransitionDiagram:
         return paths
 
 
-def build_diagram(spec: GraphSpec) -> TransitionDiagram:
-    """Materialize the full diagram for the family (guarded by code count)."""
-    family = CODES[spec.family]
-    total = family.count(spec.n)
+def guarded_code_count(spec: GraphSpec) -> int:
+    """The number of codes, which is the diagram's size; refused above the guard."""
+    total = CODES[spec.family].count(spec.n)
     if total > SIZE_GUARD:
         raise SizeGuardError(f"{total} codes exceeds the size guard {SIZE_GUARD}")
+    return total
+
+
+def build_diagram(spec: GraphSpec) -> TransitionDiagram:
+    """Materialize the full diagram for the family (guarded by code count)."""
+    guarded_code_count(spec)
+    family = CODES[spec.family]
     vertices = tuple(family.codes(spec.n))
     arrows = tuple(
         Arrow(v, tgt, site, sign)
@@ -87,6 +94,13 @@ def count_admissible_paths(diagram: TransitionDiagram, source) -> int:
     if source not in paths:
         raise ValueError("source is not a vertex of the diagram")
     return paths[source]
+
+
+def kn_admissible_paths(n: int) -> int:
+    """Paths from the identity code to the sink of K_n: the standard Young tableaux
+    of the staircase (n-1, ..., 1), (n(n-1)/2)! over the hooks 2(n-i-j)+1 of its cells."""
+    hooks = math.prod(2 * (n - i - j) + 1 for i in range(1, n) for j in range(1, n - i + 1))
+    return math.factorial(n * (n - 1) // 2) // hooks
 
 
 def _sorted_vertices(diagram: TransitionDiagram):

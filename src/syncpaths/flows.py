@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -102,36 +102,34 @@ class SyncSequence:
 # closed-form linear trajectories
 # ---------------------------------------------------------------------------
 
+def linear_flow(config: Configuration) -> Callable[[float], np.ndarray]:
+    """The exact linear flow from config as a function of t; means are taken once.
+
+    On the complete graph it contracts to the mean at rate n.  On the
+    bipartite family within-party offsets contract at rate n and the
+    party-mean gap at rate 2n, so the cross difference of vertices n and N+m
+    evolves as exp(-n t) * (x_n - x_{N+m} - (1 - exp(-n t)) * (mean_1 - mean_2)).
+    """
+    n, x = config.spec.n, config.as_array()
+    mean = x.mean()
+    if config.spec.family is Family.COMPLETE:
+        return lambda t: mean + math.exp(-n * t) * (x - mean)
+    party = np.repeat([x[:n].mean(), x[n:].mean()], n)  # each vertex's party mean
+    return lambda t: mean + math.exp(-2 * n * t) * (party - mean) + math.exp(-n * t) * (x - party)
+
+
 def laplacian_trajectory_kn(config: Configuration, t: float) -> Configuration:
-    """Exact linear flow on the complete graph: contraction to the mean at rate n."""
+    """Exact linear flow on the complete graph at time t (see ``linear_flow``)."""
     if config.spec.family is not Family.COMPLETE:
         raise ValueError("complete-graph configuration required")
-    x = config.as_array()
-    mean = x.mean()
-    decay = math.exp(-config.spec.n * t)
-    return Configuration(config.spec, tuple(mean + decay * (x - mean)))
+    return Configuration(config.spec, tuple(linear_flow(config)(t)))
 
 
 def laplacian_trajectory_knn(config: Configuration, t: float) -> Configuration:
-    """Exact linear flow on the bipartite family.
-
-    Within-party offsets contract at rate n; the party-mean gap contracts at
-    rate 2n, so the cross difference of vertices n and N+m evolves as
-    exp(-n t) * (x_n - x_{N+m} - (1 - exp(-n t)) * (mean_1 - mean_2)).
-    """
+    """Exact linear flow on the bipartite family at time t (see ``linear_flow``)."""
     if config.spec.family is not Family.BIPARTITE:
         raise ValueError("bipartite configuration required")
-    n = config.spec.n
-    x = config.as_array()
-    mean = x.mean()
-    m1 = x[:n].mean()
-    m2 = x[n:].mean()
-    u = math.exp(-n * t)
-    u2 = math.exp(-2 * n * t)
-    out = np.empty_like(x)
-    out[:n] = mean + u2 * (m1 - mean) + u * (x[:n] - m1)
-    out[n:] = mean + u2 * (m2 - mean) + u * (x[n:] - m2)
-    return Configuration(config.spec, tuple(out))
+    return Configuration(config.spec, tuple(linear_flow(config)(t)))
 
 
 def rk4_linear_step(mat: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:

@@ -64,20 +64,19 @@ class IncrementOrder:
         return json.dumps([list(lab) for lab in self.labels])
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        size, labels, complete = self.n, self.labels, self.family is Family.COMPLETE
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be pairwise distinct")
-        limit = self.n * (self.n - 1) // 2 if self.family is Family.COMPLETE else self.n**2
-        if len(self.labels) > limit:
+        if len(labels) > (size * (size - 1) // 2 if complete else size**2):
             raise ValueError("too many labels for the family")
-        for lab in self.labels:
-            if self.family is Family.COMPLETE:
-                n, k = lab
-                if not (1 <= n and 1 <= k and n + k <= self.n):
-                    raise ValueError(f"label out of range: {lab}")
-            else:
-                n, m, q = lab
-                if not (1 <= n <= self.n and 1 <= m <= self.n and q in (-1, 1)):
-                    raise ValueError(f"label out of range: {lab}")
+        if complete:
+            for n, k in labels:
+                if not (1 <= n and 1 <= k and n + k <= size):
+                    raise ValueError(f"label out of range: {(n, k)}")
+        else:
+            for n, m, q in labels:
+                if not (1 <= n <= size and 1 <= m <= size and q in (-1, 1)):
+                    raise ValueError(f"label out of range: {(n, m, q)}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ Bipartite family: rows are partitioned into maximal blocks of consecutively
 overlapping column intervals, blocks are spaced 3*eps apart, and inside a
 block the first-party positions solve a small difference-constraint system
 ("rows sharing a column within 2*eps, rows sandwiching a column more than
-2*eps apart") by exact Bellman-Ford longest paths; second-party positions
-are then placed greedily inside their per-column windows.  All output
-coordinates are exact rationals when eps is rational.
+2*eps apart") by Bellman-Ford longest paths; second-party positions are
+then placed greedily inside their per-column windows.  Both builders count
+every coordinate in integers of a unit fixed before placement, and turn it
+into an exact ``Fraction`` once, at the output.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm, prod
 
 from .codes import KnCode, KnnCode, validate_kn, validate_knn
 from .errors import SyncPathsError
@@ -66,27 +68,33 @@ def witness_kn(code: KnCode, eps) -> Configuration:
     are a contiguous run of their tier (the code is nondecreasing) and share
     out evenly the offsets from their parent's up to the next parent's in
     the tier (or up to eps), so that each kid's linked range in the level
-    above ends exactly at its parent.
+    above ends exactly at its parent.  Coordinates count units of eps/D,
+    D the product over tree levels of the lcm of their sibling-run lengths.
     """
     forest = forest_decomposition(code)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x = [Fraction(0)] * (len(code) + 1)  # 1-based
-    anchor = -2 * eps  # so that the first root sits at its tree's height * eps
+    parent = (0, *code).__getitem__  # 1-based
+    unit = prod(lcm(*(len(tuple(run)) for _, run in groupby(tier, key=parent)))
+                for tiers in forest.levels.values() for tier in tiers[1:])  # eps in units
+    x = [0] * (len(code) + 1)  # 1-based
+    anchor = -2 * unit  # so that the first root sits at its tree's height * eps
     for root in forest.roots:
-        anchor += (forest.height(root) + 2) * eps
+        anchor += (forest.height(root) + 2) * unit
         x[root] = anchor
         tiers = forest.levels[root]
         for l, (parents, tier) in enumerate(zip(tiers, tiers[1:])):
             following = dict(zip(parents, parents[1:]))
-            for p, run in groupby(tier, key=lambda v: code[v - 1]):
+            for p, run in groupby(tier, key=parent):
                 kids = tuple(run)
                 # the last parent of a tier shares out offsets up to eps
-                upper = x[following[p]] if p in following else anchor - (l - 1) * eps
+                upper = x[following[p]] if p in following else anchor - (l - 1) * unit
+                share = (upper - x[p]) // len(kids)
                 for i, v in enumerate(kids):
-                    x[v] = x[p] - eps + i * (upper - x[p]) / len(kids)
-    return Configuration(complete(len(code)), tuple(x[1:]))
+                    x[v] = x[p] - unit + i * share
+    num, den = eps.numerator, unit * eps.denominator
+    return Configuration(complete(len(code)), tuple(Fraction(v * num, den) for v in x[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +127,31 @@ def _column_ranges(alpha, omega, lo_row: int, hi_row: int):
     }
 
 
-def _block_positions(ranges, lo_row: int, hi_row: int, eps: Fraction, margin: Fraction):
-    """First-party offsets within one block, or None if the margin is too large.
+def _block_positions(ranges, lo_row: int, hi_row: int, k: int):
+    """First-party offsets of a block in units u = eps/2**(3+k), or None if margin 2u is too large.
 
     Difference constraints: rows are nondecreasing with a strict bump at
     every column boundary; rows sandwiching a column lie at least
     2*eps + margin apart; rows sharing a column lie at most 2*eps apart.
-    Solved exactly as a longest-path problem (Bellman-Ford); a positive
-    cycle means the strict margins do not fit and the caller retries
-    smaller.
+    Solved as a longest-path problem (Bellman-Ford); a positive cycle means
+    the strict margins do not fit and the caller retries smaller.
     """
     size = hi_row - lo_row + 1
-    edges: list[tuple[int, int, Fraction]] = []  # p[v] >= p[u] + w
-    bumps = [Fraction(0)] * size
+    margin, two_eps = 2, 1 << (4 + k)
+    edges: list[tuple[int, int, int]] = []  # p[v] >= p[u] + w
+    bumps = [0] * size
     for m, (s, r) in ranges.items():
         if s > lo_row:
             bumps[s - lo_row] = margin
         if r < hi_row:
             bumps[r + 1 - lo_row] = margin
             if s > lo_row:
-                edges.append((s - 1 - lo_row, r + 1 - lo_row, 2 * eps + margin))
-        edges.append((r - lo_row, s - lo_row, -2 * eps))
+                edges.append((s - 1 - lo_row, r + 1 - lo_row, two_eps + margin))
+        edges.append((r - lo_row, s - lo_row, -two_eps))
     for i in range(1, size):
         edges.append((i - 1, i, bumps[i]))
 
-    pos = [Fraction(0)] * size
+    pos = [0] * size
     for _sweep in range(size + 1):
         changed = False
         for u, v, w in edges:
@@ -164,45 +172,42 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
         raise ValueError("eps must be positive")
     n = len(alpha)
     blocks = _blocks(alpha, omega)
-
-    x = [Fraction(0)] * (n + 1)   # first party, 1-based
-    y: list[Fraction | None] = [None] * (n + 1)  # second party by column, 1-based
-
-    base = Fraction(0)
+    solved = []  # per block: (column ranges, retries k, row offsets)
     for lo_row, hi_row in blocks:
         ranges = _column_ranges(alpha, omega, lo_row, hi_row)
-        margin = eps / 4
-        pos = _block_positions(ranges, lo_row, hi_row, eps, margin)
-        retries = 0
-        while pos is None:
-            margin /= 2
-            retries += 1
-            if retries > 60:
+        k = 0
+        while (pos := _block_positions(ranges, lo_row, hi_row, k)) is None:
+            k += 1
+            if k > 60:
                 raise SyncPathsError(f"no feasible ladder for block {lo_row}..{hi_row}")
-            pos = _block_positions(ranges, lo_row, hi_row, eps, margin)
+        solved.append((ranges, k, pos))
+    # every block is placed in the finest unit, eps/2**(3+k) for the largest k
+    top = max(k for _, k, _ in solved)
+    unit = 1 << (3 + top)  # eps in units
+
+    x = [0] * (n + 1)   # first party, 1-based
+    y: list[int | None] = [None] * (n + 1)  # second party by column, 1-based
+    base = 0
+    for (lo_row, hi_row), (ranges, k, pos) in zip(blocks, solved):
+        half = 1 << (top - k)  # half this block's margin: its own unit
         for row in range(lo_row, hi_row + 1):
-            x[row] = base + pos[row - lo_row]
-        base = x[hi_row] + 3 * eps
-        if lo_row == hi_row:
-            # single row: its covered columns sit exactly on the row
-            for m in ranges:
-                y[m] = x[lo_row]
-            continue
+            x[row] = base + pos[row - lo_row] * half
+        base = x[hi_row] + 3 * unit
         # each column's window reads only this block's rows
         prev = None
         for m, (s, r) in ranges.items():
-            lower = x[r] - eps
+            # the columns of a single row sit exactly on the row
+            lower = x[r] - unit if lo_row < hi_row else x[r]
             if s > lo_row:
-                lower = max(lower, x[s - 1] + eps + margin / 2)
+                lower = max(lower, x[s - 1] + unit + half)
             if prev is not None:
                 lower = max(lower, prev)
-            upper = x[s] + eps
+            upper = x[s] + unit
             if r < hi_row:
-                upper = min(upper, x[r + 1] - eps - margin / 2)
+                upper = min(upper, x[r + 1] - unit - half)
             if lower > upper:
                 raise SyncPathsError(f"empty window for column {m}")
-            y[m] = lower
-            prev = lower
+            y[m] = prev = lower
 
     # columns covered by no row: 3*eps/2 beyond the nearest block
     for m in range(1, n + 1):
@@ -210,9 +215,9 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
             continue
         above = next((lo for lo, _hi in blocks if alpha[lo - 1] > m), None)
         if above is not None:
-            y[m] = x[above] - 3 * eps / 2
+            y[m] = x[above] - 3 * unit // 2
         else:
-            y[m] = x[blocks[-1][1]] + 3 * eps / 2
+            y[m] = x[blocks[-1][1]] + 3 * unit // 2
 
-    values = tuple(x[1:]) + tuple(y[1:])
-    return Configuration(bipartite(n), values)
+    num, den = eps.numerator, unit * eps.denominator
+    return Configuration(bipartite(n), tuple(Fraction(v * num, den) for v in x[1:] + y[1:]))

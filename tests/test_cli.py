@@ -326,8 +326,9 @@ def test_dist_size_guard(capsys):
         (("count", "--family", "knn", "--n", "7"), "interleaving bound"),
         (("diagram", "--family", "kn", "--n", "14"), "2674440 codes exceeds the size guard"),
         (("diagram", "--family", "knn", "--n", "7"), "2760615 codes exceeds the size guard"),
+        (("count", "--family", "kn", "--n", "14"), "2674440 codes exceeds the size guard"),
     ],
-    ids=["dist-bins", "count-knn", "diagram-kn14", "diagram-knn7"],
+    ids=["dist-bins", "count-knn", "diagram-kn14", "diagram-knn7", "count-kn14"],
 )
 def test_guards_refuse_before_work(argv, fault, capsys):
     # neither the bins nor the kn14 (2,674,440 codes) or knn7 (2,760,615)

@@ -10,6 +10,8 @@ from syncpaths.diagram import (
     count_admissible_paths,
     export_dot,
     export_json,
+    guarded_code_count,
+    kn_admissible_paths,
 )
 from syncpaths.distributions import f_kn, f_knn
 from syncpaths.errors import SizeGuardError
@@ -124,6 +126,14 @@ def test_admissible_path_counts():
         hooks = math.prod(2 * (n - i - j) + 1 for i in range(1, n) for j in range(1, n - i + 1))
         want = math.factorial(n * (n - 1) // 2) // hooks
         assert count_admissible_paths(build_diagram(complete(n)), tuple(range(1, n + 1))) == want
+
+
+def test_kn_count_closed_forms_match_the_diagram():
+    # `count --family kn` reads these instead of building the diagram
+    for n in range(1, 10):
+        d = build_diagram(complete(n))
+        assert guarded_code_count(complete(n)) == len(d.vertices)
+        assert kn_admissible_paths(n) == sum(count_admissible_paths(d, s) for s in d.starts)
 
 
 def test_path_counts_one_dp_per_diagram():

@@ -87,6 +87,41 @@ def test_witness_coordinates_pinned():
     )
 
 
+def _coordinates_sha(build, codes, eps) -> str:
+    rows = [[str(v) for v in build(code, eps).values] for code in codes]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_witness_kn8_coordinates_pinned():
+    # every K8 witness at an eps whose denominator is not a power of ten
+    codes = CODES[Family.COMPLETE].codes(8)
+    assert len(codes) == 1430
+    assert _coordinates_sha(witness_kn, codes, Fraction(3, 7)) == (
+        "6dc5144a328ba2cdf364703a8fd74c21acb4368c98d35865de4207044b629268"
+    )
+
+
+def test_witness_knn5_sample_coordinates_pinned():
+    import random
+
+    codes = random.Random(2022).sample(CODES[Family.BIPARTITE].codes(5), 500)
+    assert _coordinates_sha(witness_knn, codes, Fraction(1, 100)) == (
+        "a8974c475d84aa6ffa78dea116b8373b8476ecf052c816518023d4eea454fc4f"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, build, n",
+    [(Family.COMPLETE, witness_kn, 7), (Family.BIPARTITE, witness_knn, 4)],
+    ids=["kn7", "knn4"],
+)
+def test_witness_exactly_linear_in_eps(family, build, n):
+    # every coordinate is eps times the coordinate at eps = 1, exactly
+    eps = Fraction(3, 7)
+    for code in CODES[family].codes(n):
+        assert build(code, eps).values == tuple(eps * v for v in build(code, 1).values)
+
+
 def test_witness_scaling():
     for code in ((2, 2, 4, 4), (3, 4, 4, 4), (1, 3, 3)):
         a = witness_kn(code, Fraction(1, 50)).values
