@@ -14,10 +14,16 @@ vertex order, never ``sum()`` (compensated since Python 3.12), so a run's
 event times are reproducible bit for bit.  The self term sin(0) = 0 is left
 out; adding it could only change the sign of a zero sum.
 
+Most steps of a run change nothing, so from the same stage lines the kernel
+also compiles a loop that takes such quiet steps with the state in locals.
+
 ``integrate_events`` owns a run: it refuses a horizon above ``MAX_RK4_STEPS``
-before any work, looks the compiled step up once per run, and raises the
-regime errors itself: ``NotTypicalError`` for two crossings within the bisection
-tolerance, ``UnsynchronizedError`` for an exhausted horizon, and the bare
+before any work, looks the compiled step up once per run, runs the quiet
+stretches in the compiled loop and takes each event step itself (re-step,
+desync check, bisection, tie check), so its event times are those of a
+step-by-step loop, bit for bit.  It raises the regime errors itself:
+``NotTypicalError`` for two crossings within the bisection tolerance,
+``UnsynchronizedError`` for an exhausted horizon, and the bare
 ``SyncPathsError`` for a synchronized pair that separates.  A step so large
 that a stage overflows to inf raises ``ValueError`` naming the step.
 """
@@ -56,6 +62,20 @@ def _velocities(n, n_party, pos, out):
     return lines
 
 
+def _stages(n, n_party):
+    """Source lines of one RK4 step from ``x<v>`` to ``nx<v>``, given ``half`` and ``sixth``."""
+    lines = []
+    for pos, out, nxt, scale in (("x", "a", "y", "half"), ("y", "b", "z", "half"),
+                                 ("z", "c", "w", "h"), ("w", "d", None, None)):
+        lines += _velocities(n, n_party, pos, out)
+        if nxt:
+            lines += [f"    {nxt}{v} = x{v} + {scale} * {out}{v}" for v in range(n)]
+    lines += [
+        f"    nx{v} = x{v} + sixth * (a{v} + 2.0 * b{v} + 2.0 * c{v} + d{v})" for v in range(n)
+    ]
+    return lines
+
+
 @lru_cache
 def _step_function(n, n_party):
     """Compile the RK4 step ``(x, sigma, h) -> new x`` of one graph size.
@@ -63,20 +83,44 @@ def _step_function(n, n_party):
     For K_3 the first stage reads ``s1_0 = sin(x1 - x0)``, ``s2_0 = ...``,
     ``s2_1 = ...``, then ``a1 = sigma * (-s1_0 + s2_1)`` and so on; the next
     stages do the same at ``y``, ``z`` and ``w``.
+
+    The step carries, as ``step.quiet``, a loop compiled from the same stage
+    lines: ``quiet(x, sigma, h, eps, t, budget, active, pending)`` takes RK4
+    steps, adding ``h`` to ``t`` and taking one off the budget for each, and
+    returns ``(x, t, budget)``.  It stops when the budget runs out, or before
+    the first step on which a pair (u, v), u > v, of the set ``active`` has
+    ``abs(xu - xv) - eps > 0.0`` or one of ``pending`` has
+    ``abs(xu - xv) - eps <= 0.0``.  These are the event step's own tests,
+    unnegated, so a NaN distance is quiet in both.
     """
     xs = ", ".join(f"x{v}" for v in range(n))
-    lines = ["def step(x, sigma, h):", f"    {xs}, = x", "    half = 0.5 * h"]
-    for pos, out, nxt, scale in (("x", "a", "y", "half"), ("y", "b", "z", "half"),
-                                 ("z", "c", "w", "h"), ("w", "d", None, None)):
-        lines += _velocities(n, n_party, pos, out)
-        if nxt:
-            lines += [f"    {nxt}{v} = x{v} + {scale} * {out}{v}" for v in range(n)]
-    lines.append("    sixth = h / 6.0")
-    lines.append("    return [" + ", ".join(
-        f"x{v} + sixth * (a{v} + 2.0 * b{v} + 2.0 * c{v} + d{v})" for v in range(n)
-    ) + "]")
+    nxs = ", ".join(f"nx{v}" for v in range(n))
+    stages = _stages(n, n_party)
+    scales = ["    half = 0.5 * h", "    sixth = h / 6.0"]
+    step = ["def step(x, sigma, h):", f"    {xs}, = x", *scales, *stages, f"    return [{nxs}]"]
+
+    watched = [(u, v) for v in range(n) for u in range(v + 1, n)]
+    # sin and abs as defaults: locals are read faster than globals
+    quiet = ["def quiet(x, sigma, h, eps, t, budget, active, pending, sin=sin, abs=abs):",
+             f"    {xs}, = x"]
+    for u, v in watched:
+        quiet += [f"    on{u}_{v} = ({u}, {v}) in active",
+                  f"    off{u}_{v} = ({u}, {v}) in pending"]
+    quiet += [*scales, "    while budget > 0:"]
+    quiet += ["    " + line for line in stages]
+    for u, v in watched:
+        quiet += [f"        if on{u}_{v}:",
+                  f"            if abs(nx{u} - nx{v}) - eps > 0.0:",
+                  "                break",
+                  f"        elif off{u}_{v} and abs(nx{u} - nx{v}) - eps <= 0.0:",
+                  "            break"]
+    quiet += [f"        {xs}, = {nxs},", "        t += h", "        budget -= 1",
+              f"    return [{xs}], t, budget"]
+
     namespace = {"sin": sin}
-    exec(compile("\n".join(lines), f"<rk4 step n={n} n_party={n_party}>", "exec"), namespace)
+    source = "\n".join(step + quiet)
+    exec(compile(source, f"<rk4 kernel n={n} n_party={n_party}>", "exec"), namespace)
+    namespace["step"].quiet = namespace["quiet"]
     return namespace["step"]
 
 
@@ -98,6 +142,8 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
         )
     rk4 = _step_function(len(x0), n_party)
     x = list(x0)
+    # abs(x_u - x_v) is symmetric, so a pair is kept as (larger, smaller) end
+    pairs = [(max(p), min(p)) for p in pairs]
     active = [(u, v) for u, v in pairs if abs(x[u] - x[v]) <= eps]
     pending = [(i, u, v) for i, (u, v) in enumerate(pairs) if not abs(x[u] - x[v]) <= eps]
     ev_t, ev_p, t = [], [], 0.0
@@ -105,7 +151,14 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
         return ev_t, ev_p
 
     try:
-        for _ in range(int(ceil(steps)) + 1):
+        budget = int(ceil(steps)) + 1
+        while True:
+            x, t, budget = rk4.quiet(
+                x, sigma, step, eps, t, budget, set(active), {p[1:] for p in pending}
+            )
+            if budget <= 0:
+                break
+            # the step the quiet stretch stopped before: something happens on it
             xnew = rk4(x, sigma, step)
             for u, v in active:
                 if abs(xnew[u] - xnew[v]) - eps > 0.0:
@@ -127,18 +180,18 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
                             hi = mid
                     crossed.append((t + hi, i, u, v))
 
-            if crossed:
-                crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
-                if any(b[0] - a[0] < crossing_tol for a, b in zip(crossed, crossed[1:])):
-                    raise NotTypicalError("two crossings within crossing_tol")
-                for tc, i, u, v in crossed:
-                    ev_t.append(tc)
-                    ev_p.append(i)
-                    active.append((u, v))
-                pending = [p for p in pending if p[0] not in ev_p]
+            crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
+            if any(b[0] - a[0] < crossing_tol for a, b in zip(crossed, crossed[1:])):
+                raise NotTypicalError("two crossings within crossing_tol")
+            for tc, i, u, v in crossed:
+                ev_t.append(tc)
+                ev_p.append(i)
+                active.append((u, v))
+            pending = [p for p in pending if p[0] not in ev_p]
 
             x = xnew
             t += step
+            budget -= 1
             if not pending:
                 return ev_t, ev_p
     except ValueError:  # sin(inf): a stage overflowed

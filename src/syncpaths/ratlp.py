@@ -1,9 +1,11 @@
 """Exact linear feasibility (phase-1 simplex by fraction-free integer pivoting).
 
-Decides whether {x >= 0 : A x >= b, C x = d} is nonempty and returns a
+Decides whether {x >= 0 : A x >= b, C x = f} is nonempty and returns a
 rational point when it is.  Bland's rule guarantees termination.  Problems
 here are tiny (tens of rows/columns), so a dense tableau is fine; all
-arithmetic is exact, there is no floating point anywhere.
+arithmetic is exact, there is no floating point anywhere.  The point comes
+back as integer numerators over the tableau's own common denominator d > 0
+(below), so no Fraction is built; callers that need rationals make them.
 
 The input (ints or Fractions) is scaled by L, the lcm of every denominator,
 so the tableau starts in integers; slack and artificial entries stay +-1.
@@ -28,21 +30,22 @@ from typing import Sequence
 
 Row = tuple[Sequence[int | Fraction], int | Fraction]
 
-_ZERO = Fraction(0)
-
 
 def solve_feasibility(
     num_vars: int,
     ge_rows: Sequence[Row] = (),
     eq_rows: Sequence[Row] = (),
-) -> list[Fraction] | None:
-    """A point of {x >= 0 : ge rows hold with >=, eq rows with =}, or None."""
+) -> tuple[list[int], int] | None:
+    """A point of {x >= 0 : ge rows hold with >=, eq rows with =}, or None.
+
+    The point is (numerators, d): coordinate j is numerators[j] / d, d > 0.
+    """
     given = list(ge_rows)
     n_ge = len(given)
     given += eq_rows
     m = len(given)
     if m == 0:
-        return [_ZERO] * num_vars
+        return [0] * num_vars, 1
     scale = math.lcm(*(v.denominator for coeffs, b in given for v in (*coeffs, b)))
 
     # Columns: structural x, then one surplus per ge row (-1, or a +1 slack
@@ -103,11 +106,11 @@ def solve_feasibility(
     # Artificials still basic here sit at zero.  Pivoting them out (on any
     # nonzero entry of their row) would be degenerate: their rhs is 0, so no
     # basic value, and hence no coordinate of x, would change.
-    x = [_ZERO] * num_vars
+    x = [0] * num_vars
     for i in range(m):
         if basis[i] < num_vars:
-            x[basis[i]] = Fraction(tab[i][-1], d)
-    return x
+            x[basis[i]] = tab[i][-1]
+    return x, d
 
 
 def _pivot(tab: list[list[int]], leave: int, enter: int, d: int) -> int:

@@ -10,12 +10,13 @@ carries an exact rational witness.
 Both families enumerate their orders with one generator, ``_chains``: a
 depth-first extension "which item is next smallest", pruned by interval
 containment (a nested window is forced smaller, ``_open_items``) and by exact
-feasibility of each prefix.  Its root witness is powers-of-two gaps when
-neither a prefix nor an equality row constrains it, else one root LP; a
-witness is reused down the tree until a choice disagrees with it.  Counting
-feasible full orders for the complete graph counts combinatorial classes of
-Golomb rulers; the worker pool splits that search at depth two with the same
-child rule.
+feasibility of each prefix, whose LP puts only the containment-minimal open
+items above it.  Its root witness is powers-of-two gaps when neither a prefix
+nor an equality row constrains it, else one root LP; a witness, integers in
+units of 1/d, is reused down the tree until a choice disagrees with it.
+Counting feasible full orders for the complete graph counts combinatorial
+classes of Golomb rulers; the worker pool splits that search at depth two
+with the same child rule.
 """
 
 from __future__ import annotations
@@ -103,18 +104,22 @@ def _window_row(space: _ChainSpace, a: int, b: int):
 
 
 def _chain_feasible(space: _ChainSpace, chain: Sequence[int], tails: Iterable[int] = ()):
-    """Witness gaps for: chain strictly increasing, every tail above the last."""
+    """Witness gaps for: chain strictly increasing, every tail above the last.
+
+    Returns (gaps, d), the gaps as integers in units of 1/d, or None.
+    """
     ge = [_window_row(space, a, b) for a, b in zip(chain, chain[1:])]
     if chain:
         last = chain[-1]
         ge.extend(_window_row(space, last, j) for j in tails)
-    y = ratlp.solve_feasibility(space.n_gaps, ge_rows=ge, eq_rows=space.eq_rows)
-    if y is None:
+    point = ratlp.solve_feasibility(space.n_gaps, ge_rows=ge, eq_rows=space.eq_rows)
+    if point is None:
         return None
-    return tuple(v + 1 for v in y)
+    y, d = point
+    return [v + d for v in y], d
 
 
-def _magnitudes(space: _ChainSpace, gaps: Sequence[Fraction]) -> list[Fraction]:
+def _magnitudes(space: _ChainSpace, gaps: Sequence[int]) -> list[int]:
     """Every item's window sum over the witness gaps, from one prefix-sum pass."""
     prefix = list(accumulate(gaps, initial=0))
     return [prefix[hi] - prefix[lo] for lo, hi in space.windows]
@@ -128,10 +133,6 @@ def _containment_masks(windows: Sequence[tuple[int, int]]) -> list[int]:
             if i != j and lo_i <= lo_j and hi_j <= hi_i:
                 masks[i] |= 1 << j
     return masks
-
-
-def _items(bits: int, n_items: int) -> list[int]:
-    return [j for j in range(n_items) if bits >> j & 1]
 
 
 def _open_items(masks: Sequence[int], remaining: int) -> Iterator[int]:
@@ -148,37 +149,41 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     when neither a prefix nor an equality row constrains it, else one exact
     LP.  A node's witness is reused for any extension it already satisfies,
     so the LP runs only when the next-smallest choice disagrees with it.  The
-    witness travels as its item magnitudes, computed once per witness.
+    witness travels as its item magnitudes, integers in units of 1/d, so
+    "at least 1 larger" reads "at least d larger".  Only the open tail items
+    (``_open_items``) are constrained: any other tail item contains one of
+    them, and with every gap at least 1 it is then larger by at least 1.
     """
-    n_items = len(space.windows)
     masks = _containment_masks(space.windows)
-    remaining = (1 << n_items) - 1
+    remaining = (1 << len(space.windows)) - 1
     for c in prefix:
         remaining &= ~(1 << c)
     if prefix or space.eq_rows:
-        root = _chain_feasible(space, prefix, _items(remaining, n_items))
+        root = _chain_feasible(space, prefix, _open_items(masks, remaining))
         if root is None:
             return
     else:
-        root = tuple(Fraction(2**i) for i in range(space.n_gaps))
+        root = [2**i for i in range(space.n_gaps)], 1
 
-    def extend(chain: tuple[int, ...], remaining: int, mags) -> Iterator[tuple[int, ...]]:
+    def extend(chain: tuple[int, ...], remaining: int, m, d) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield chain
             return
         for c in _open_items(masks, remaining):
             rest = remaining & ~(1 << c)
-            tails = _items(rest, n_items)
-            m = mags
-            above = m[c] + 1
-            if (chain and m[c] < m[chain[-1]] + 1) or any(m[j] < above for j in tails):
+            tails = list(_open_items(masks, rest))
+            above = m[c] + d
+            if (chain and m[c] < m[chain[-1]] + d) or any(m[j] < above for j in tails):
                 w = _chain_feasible(space, chain + (c,), tails)
                 if w is None:
                     continue
-                m = _magnitudes(space, w)
-            yield from extend(chain + (c,), rest, m)
+                gaps, w_d = w
+                yield from extend(chain + (c,), rest, _magnitudes(space, gaps), w_d)
+            else:
+                yield from extend(chain + (c,), rest, m, d)
 
-    yield from extend(prefix, remaining, _magnitudes(space, root))
+    gaps, d = root
+    yield from extend(prefix, remaining, _magnitudes(space, gaps), d)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +216,9 @@ def _count_branch(args) -> int:
     return sum(1 for _chain in _chains(space, prefix))
 
 
-# n=7 (107498 classes) is the largest count measured to finish, in about 386 s
-# on one core; n=8 has 68 times as many classes, so its search runs for hours
+# n=7 (107498 classes) is the largest count measured to finish, in 536 s on one
+# core (2026-10-19, 2-core VM, CPython 3.11; the VM's speed varies up to 1.8x);
+# n=8 has 68 times as many classes, so its search runs for hours
 COUNT_LIMIT = 7
 
 _count_cache: dict[int, int] = {}
@@ -314,7 +320,8 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
 
 
 # `count --family knn` reports orderings up to here: n=3 (20 interleavings of
-# 9 magnitudes) takes about 3 s, and n=4 has 70 interleavings of 16 magnitudes
+# 9 magnitudes) took 1.3-1.8 s end to end (2026-10-19, 2 cores, CPython 3.11),
+# and n=4 has 70 interleavings of 16 magnitudes
 ORDERING_LIMIT_KNN = 3
 
 
@@ -359,10 +366,11 @@ def _feasible_kn(order: IncrementOrder) -> Configuration | None:
     space, labels = _kn_space(n)
     index = {lab: i for i, lab in enumerate(labels)}
     chain = [index[lab] for lab in order.labels]
-    gaps = _chain_feasible(space, chain)
-    if gaps is None:
+    witness = _chain_feasible(space, chain)
+    if witness is None:
         return None
-    return Configuration(complete(n), tuple(accumulate(gaps, initial=Fraction(0))))
+    gaps, d = witness
+    return Configuration(complete(n), tuple(Fraction(v, d) for v in accumulate(gaps, initial=0)))
 
 
 def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None:
@@ -399,12 +407,13 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
         coeffs[2 * ng] = n
         coeffs[2 * ng + 1] = -n
         eq_rows.append((coeffs, 0))
-    y = ratlp.solve_feasibility(nv, ge_rows=ge_rows, eq_rows=eq_rows)
-    if y is None:
+    point = ratlp.solve_feasibility(nv, ge_rows=ge_rows, eq_rows=eq_rows)
+    if point is None:
         return None
-    x1 = accumulate(y[:ng], initial=Fraction(0))
+    y, d = point
+    x1 = accumulate(y[:ng], initial=0)
     x2 = accumulate(y[ng : 2 * ng], initial=y[2 * ng] - y[2 * ng + 1])
-    return Configuration(bipartite(n), (*x1, *x2))
+    return Configuration(bipartite(n), tuple(Fraction(v, d) for v in (*x1, *x2)))
 
 
 def verify_witness(order: IncrementOrder, config: Configuration) -> bool:

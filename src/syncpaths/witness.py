@@ -76,18 +76,20 @@ def witness_kn(code: KnCode, eps) -> Configuration:
     if eps <= 0:
         raise ValueError("eps must be positive")
     parent = (0, *code).__getitem__  # 1-based
-    unit = prod(lcm(*(len(tuple(run)) for _, run in groupby(tier, key=parent)))
-                for tiers in forest.levels.values() for tier in tiers[1:])  # eps in units
+    # every tier below a root as its sibling runs (parent, kids), grouped once
+    runs = {root: [[(p, tuple(kids)) for p, kids in groupby(tier, key=parent)]
+                   for tier in tiers[1:]]
+            for root, tiers in forest.levels.items()}
+    unit = prod(lcm(*(len(kids) for _, kids in tier))
+                for tiers in runs.values() for tier in tiers)  # eps in units
     x = [0] * (len(code) + 1)  # 1-based
     anchor = -2 * unit  # so that the first root sits at its tree's height * eps
     for root in forest.roots:
         anchor += (forest.height(root) + 2) * unit
         x[root] = anchor
-        tiers = forest.levels[root]
-        for l, (parents, tier) in enumerate(zip(tiers, tiers[1:])):
+        for l, (parents, tier) in enumerate(zip(forest.levels[root], runs[root])):
             following = dict(zip(parents, parents[1:]))
-            for p, run in groupby(tier, key=parent):
-                kids = tuple(run)
+            for p, kids in tier:
                 # the last parent of a tier shares out offsets up to eps
                 upper = x[following[p]] if p in following else anchor - (l - 1) * unit
                 share = (upper - x[p]) // len(kids)

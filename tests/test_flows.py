@@ -14,7 +14,7 @@ from syncpaths.flows import (
     rk4_linear_trajectory,
     switching_times_kn,
 )
-from syncpaths.graphs import Configuration, bipartite, complete
+from syncpaths.graphs import Configuration, Family, bipartite, complete
 from syncpaths import _kernels
 
 
@@ -475,6 +475,117 @@ def test_kuramoto_run_looks_the_step_up_once():
     with pytest.raises(UnsynchronizedError):
         kuramoto_sequence(k4, KuramotoParams(horizon=0.05), 1e-3)
     assert lookups() == before + 1
+
+
+def _oracle_integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs):
+    """Reference event loop: one compiled step and two pair scans per step."""
+    from syncpaths.errors import SizeGuardError, SyncPathsError, UnsynchronizedError
+
+    steps = horizon / step if step else math.inf
+    if steps > _kernels.MAX_RK4_STEPS:
+        raise SizeGuardError(
+            f"horizon {horizon:.3g} at step {step:.3g} needs {steps:.3g} RK4 steps, "
+            f"above the guard {_kernels.MAX_RK4_STEPS}"
+        )
+    rk4 = _kernels._step_function(len(x0), n_party)
+    x = list(x0)
+    active = [(u, v) for u, v in pairs if abs(x[u] - x[v]) <= eps]
+    pending = [(i, u, v) for i, (u, v) in enumerate(pairs) if not abs(x[u] - x[v]) <= eps]
+    ev_t, ev_p, t = [], [], 0.0
+    if not pending:
+        return ev_t, ev_p
+
+    try:
+        for _ in range(int(math.ceil(steps)) + 1):
+            xnew = rk4(x, sigma, step)
+            for u, v in active:
+                if abs(xnew[u] - xnew[v]) - eps > 0.0:
+                    raise SyncPathsError(
+                        "a synchronized pair desynchronized (outside monotone regime)"
+                    )
+
+            crossed = []
+            for i, u, v in pending:
+                if abs(xnew[u] - xnew[v]) - eps <= 0.0:
+                    lo, hi = 0.0, step
+                    while hi - lo > crossing_tol:
+                        mid = 0.5 * (lo + hi)
+                        xb = rk4(x, sigma, mid)
+                        if abs(xb[u] - xb[v]) - eps > 0.0:
+                            lo = mid
+                        else:
+                            hi = mid
+                    crossed.append((t + hi, i, u, v))
+
+            if crossed:
+                crossed.sort(key=lambda c: c[0])
+                if any(b[0] - a[0] < crossing_tol for a, b in zip(crossed, crossed[1:])):
+                    raise NotTypicalError("two crossings within crossing_tol")
+                for tc, i, u, v in crossed:
+                    ev_t.append(tc)
+                    ev_p.append(i)
+                    active.append((u, v))
+                pending = [p for p in pending if p[0] not in ev_p]
+
+            x = xnew
+            t += step
+            if not pending:
+                return ev_t, ev_p
+    except ValueError:
+        raise ValueError(f"RK4 step {step:.3g} at sigma {sigma:.3g} overflows to inf") from None
+
+    raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")
+
+
+def _event_args(spec, values, eps, horizon=None, step=None):
+    """integrate_events' arguments for a Kuramoto run, as kuramoto_sequence builds them."""
+    params = KuramotoParams(horizon=horizon, step=step)
+    x0 = [float(v) for v in values]
+    ends = [(u - 1, v - 1) for u, v in spec.edges()]
+    n_party = 0 if spec.family is Family.COMPLETE else spec.n
+    if horizon is None:
+        worst = max([*(abs(x0[u] - x0[v]) for u, v in ends), eps])
+        horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
+    step = params.effective_step(eps, spec.n)
+    return x0, params.sigma, eps, n_party, step, horizon, params.crossing_tol, ends
+
+
+def _outcome(integrate, args):
+    try:
+        return integrate(*args)
+    except Exception as exc:  # the type and the message must agree too
+        return type(exc), str(exc)
+
+
+def test_event_loop_matches_per_step_oracle():
+    # The compiled quiet stretches hand every event step back to the same
+    # re-step, desync check, bisection and tie check, so event times, pair
+    # indices and errors must equal the per-step loop's exactly.
+    rng = np.random.default_rng(29)
+    runs = []
+    for spec in [complete(n) for n in range(1, 9)] + [bipartite(n) for n in range(1, 5)]:
+        for _ in range(3):
+            scale = float(rng.choice([0.01, 0.05]))
+            eps = float(rng.choice([0.3, 0.1])) * scale
+            values = rng.uniform(-scale, scale, spec.vertex_count)
+            # a coarser step than the default eps / (10 n) keeps this fast and
+            # lands several crossings in one step now and then
+            runs.append(_event_args(spec, values, eps, step=eps / (3 * spec.n)))
+    runs += [
+        _event_args(bipartite(2), (0.0, 0.001, 0.0005, 0.35), 1e-3),  # desync
+        _event_args(bipartite(2), (0.0, 0.02, 0.005, 0.015), 1e-3),  # tie
+        _event_args(complete(4), (0.0, 0.003, 0.007, 0.012), 1e-3, horizon=0.05),  # horizon
+        _event_args(complete(3), (0.0, 0.05, 0.15), 1e-3, step=1e308),  # overflow
+        _event_args(complete(3), (0.0, math.nan, 0.01), 1e-3, horizon=0.05),  # NaN is quiet
+    ]
+    outcomes = []
+    for args in runs:
+        want = _outcome(_oracle_integrate_events, args)
+        assert _outcome(_kernels.integrate_events, args) == want, args
+        outcomes.append(want[0] if isinstance(want[0], type) else "events")
+    kinds = {o if isinstance(o, str) else o.__name__ for o in outcomes}
+    assert kinds >= {"events", "SyncPathsError", "NotTypicalError", "UnsynchronizedError",
+                     "ValueError"}
 
 
 def test_params_validation():

@@ -4,7 +4,17 @@ import json
 import random
 from fractions import Fraction as F
 
-from syncpaths.ratlp import solve_feasibility
+from syncpaths import ratlp
+
+
+def solve_feasibility(*args, **kwargs):
+    """The LP's point as Fractions, read from its (numerators, d) form."""
+    point = ratlp.solve_feasibility(*args, **kwargs)
+    if point is None:
+        return None
+    nums, d = point
+    assert d > 0
+    return [F(v, d) for v in nums]
 
 
 def _holds(x, ge, eq):
@@ -37,6 +47,13 @@ def test_infeasible_equality():
 
 def test_no_rows():
     assert solve_feasibility(3) == [0, 0, 0]
+
+
+def test_point_is_integers_over_one_denominator():
+    # (numerators, d) with d > 0 the tableau's denominator; no Fraction built
+    nums, d = ratlp.solve_feasibility(2, ge_rows=[([F(1, 3), F(-1, 7)], F(2, 5))])
+    assert all(type(v) is int for v in (*nums, d)) and d > 0
+    assert ratlp.solve_feasibility(3) == ([0, 0, 0], 1)
 
 
 def test_fractional_data():

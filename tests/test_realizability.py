@@ -128,32 +128,32 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "enumerate_rows, calls",
+    "enumerate_rows, calls, rows",
     [
-        (lambda: enumerate_realizable_orderings_kn(4), 20),
-        (lambda: enumerate_realizable_orderings_kn(5), 431),
-        (lambda: enumerate_realizable_orderings_knn(2), 28),
-        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), 10),
-        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), 1314),
+        (lambda: enumerate_realizable_orderings_kn(4), 20, 66),
+        (lambda: enumerate_realizable_orderings_kn(5), 431, 2720),
+        (lambda: enumerate_realizable_orderings_knn(2), 28, 64),
+        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), 10, 18),
+        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), 1314, 9370),
     ],
     ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced"],
 )
-def test_lp_call_counts_are_pinned(enumerate_rows, calls, monkeypatch):
-    # an extra root LP or a weaker witness-reuse test shows up as more calls;
-    # the counter wraps the module attribute, which the search must resolve
-    # at call time
+def test_lp_call_counts_are_pinned(enumerate_rows, calls, rows, monkeypatch):
+    # an extra root LP or a weaker witness-reuse test shows up as more calls,
+    # an implied tail row passed to the LP as more rows; the counter wraps the
+    # module attribute, which the search must resolve at call time
     from syncpaths import ratlp
 
     solve = ratlp.solve_feasibility
     seen = []
 
-    def counted(*args, **kwargs):
-        seen.append(1)
-        return solve(*args, **kwargs)
+    def counted(*args, ge_rows=(), eq_rows=()):
+        seen.append(len(ge_rows) + len(eq_rows))
+        return solve(*args, ge_rows=ge_rows, eq_rows=eq_rows)
 
     monkeypatch.setattr(ratlp, "solve_feasibility", counted)
     enumerate_rows()
-    assert len(seen) == calls
+    assert (len(seen), sum(seen)) == (calls, rows)
 
 
 def test_kn4_orderings_match_reference():
