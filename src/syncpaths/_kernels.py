@@ -18,10 +18,11 @@ Most steps of a run change nothing, so from the same stage lines the kernel
 also compiles a loop that takes such quiet steps with the state in locals.
 
 ``integrate_events`` owns a run: it refuses a horizon above ``MAX_RK4_STEPS``
-before any work, looks the compiled step up once per run, runs the quiet
-stretches in the compiled loop and takes each event step itself (re-step,
-desync check, bisection, tie check), so its event times are those of a
-step-by-step loop, bit for bit.  It raises the regime errors itself:
+before any work and a monitored pair that is not coupled before the first
+step, looks the compiled step up once per run, runs the quiet stretches in
+the compiled loop and takes each event step itself (re-step, desync check,
+bisection, tie check), so its event times are those of a step-by-step loop,
+bit for bit.  It raises the regime errors itself:
 ``NotTypicalError`` for two crossings within the bisection tolerance,
 ``UnsynchronizedError`` for an exhausted horizon, and the bare
 ``SyncPathsError`` for a synchronized pair that separates.  A step so large
@@ -45,12 +46,16 @@ NUMBA_ENABLED = False
 MAX_RK4_STEPS = 10**7
 
 
+def _coupled(n, n_party):
+    """The vertices coupled to each vertex v, in vertex order."""
+    if n_party == 0:
+        return [[u for u in range(n) if u != v] for v in range(n)]
+    return [range(n_party, n) if v < n_party else range(n_party) for v in range(n)]
+
+
 def _velocities(n, n_party, pos, out):
     """Source lines of one RK4 stage: velocities ``out<v>`` at positions ``pos<v>``."""
-    if n_party == 0:
-        coupled = [[u for u in range(n) if u != v] for v in range(n)]
-    else:
-        coupled = [range(n_party, n) if v < n_party else range(n_party) for v in range(n)]
+    coupled = _coupled(n, n_party)
     lines = [
         f"    s{u}_{v} = sin({pos}{u} - {pos}{v})"
         for v in range(n) for u in coupled[v] if u > v
@@ -91,7 +96,8 @@ def _step_function(n, n_party):
     the first step on which a pair (u, v), u > v, of the set ``active`` has
     ``abs(xu - xv) - eps > 0.0`` or one of ``pending`` has
     ``abs(xu - xv) - eps <= 0.0``.  These are the event step's own tests,
-    unnegated, so a NaN distance is quiet in both.
+    unnegated, so a NaN distance is quiet in both.  It watches only the
+    coupled pairs, listed as ``step.pairs``.
     """
     xs = ", ".join(f"x{v}" for v in range(n))
     nxs = ", ".join(f"nx{v}" for v in range(n))
@@ -99,7 +105,8 @@ def _step_function(n, n_party):
     scales = ["    half = 0.5 * h", "    sixth = h / 6.0"]
     step = ["def step(x, sigma, h):", f"    {xs}, = x", *scales, *stages, f"    return [{nxs}]"]
 
-    watched = [(u, v) for v in range(n) for u in range(v + 1, n)]
+    coupled = _coupled(n, n_party)
+    watched = [(u, v) for v in range(n) for u in coupled[v] if u > v]
     # sin and abs as defaults: locals are read faster than globals
     quiet = ["def quiet(x, sigma, h, eps, t, budget, active, pending, sin=sin, abs=abs):",
              f"    {xs}, = x"]
@@ -121,15 +128,17 @@ def _step_function(n, n_party):
     source = "\n".join(step + quiet)
     exec(compile(source, f"<rk4 kernel n={n} n_party={n_party}>", "exec"), namespace)
     namespace["step"].quiet = namespace["quiet"]
+    namespace["step"].pairs = frozenset(watched)
     return namespace["step"]
 
 
 def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs):
     """Integrate from x0 until every monitored pair is within eps.
 
-    pairs lists the 0-based endpoints (u, v) of the monitored pairs; those
-    within eps at t=0 are synchronized from the start.  n_party is 0 for
-    all-to-all coupling, else the size of the first bipartite party.
+    pairs lists the 0-based endpoints (u, v) of the monitored pairs, each
+    coupled (ValueError otherwise); those within eps at t=0 are synchronized
+    from the start.  n_party is 0 for all-to-all coupling, else the size of
+    the first bipartite party.
     Crossing times are refined by bisection (re-stepping from the pre-step
     state) to crossing_tol.  Returns (event_times, event_pairs), the events
     as lists of times and pair indices in order of occurrence.
@@ -144,6 +153,9 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
     x = list(x0)
     # abs(x_u - x_v) is symmetric, so a pair is kept as (larger, smaller) end
     pairs = [(max(p), min(p)) for p in pairs]
+    uncoupled = [p for p in pairs if p not in rk4.pairs]
+    if uncoupled:  # the quiet loop watches only coupled pairs
+        raise ValueError(f"monitored pairs {uncoupled} are not coupled")
     active = [(u, v) for u, v in pairs if abs(x[u] - x[v]) <= eps]
     pending = [(i, u, v) for i, (u, v) in enumerate(pairs) if not abs(x[u] - x[v]) <= eps]
     ev_t, ev_p, t = [], [], 0.0

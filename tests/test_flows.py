@@ -588,6 +588,18 @@ def test_event_loop_matches_per_step_oracle():
                      "ValueError"}
 
 
+def test_event_loop_refuses_uncoupled_pairs():
+    # the quiet loop watches only coupled pairs, so no other pair may be monitored
+    args = list(_event_args(bipartite(2), (0.0, 0.001, 0.0005, 0.003), 1e-3))
+    assert _kernels._step_function(4, 2).pairs == {(2, 0), (3, 0), (2, 1), (3, 1)}
+    for pairs in ([(0, 1)], [(2, 0), (3, 2)], [(1, 1)]):
+        args[-1] = pairs
+        with pytest.raises(ValueError, match="not coupled"):
+            _kernels.integrate_events(*args)
+    args[-1] = [(0, 2), (3, 1)]  # either end order is a coupled pair
+    assert _kernels.integrate_events(*args)[1] == [1]
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         KuramotoParams(sigma=-1)
