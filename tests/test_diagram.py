@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -218,3 +219,18 @@ def test_build_diagram_validates_no_code(monkeypatch):
     monkeypatch.setattr(codes, "validate_kn", lambda code: calls.append(code) or real(code))
     assert len(build_diagram(complete(6)).vertices) == 132
     assert calls == []
+
+
+def test_arrows_pinned_hashable_and_frozen():
+    # sha256 of the repr of the sorted (source, target, site, sign) arrows
+    pins = {
+        complete(7): "293ec83ffd81f038bac8814e1f3b95425a4c408d239e4b406b9eb86b0af618b7",
+        bipartite(3): "19e10931e06c48c4bd9393977e591a0cb3de6214923483a383ef48effd305a20",
+    }
+    for spec, digest in pins.items():
+        arrows = sorted((a.source, a.target, a.site, a.sign) for a in build_diagram(spec).arrows)
+        assert hashlib.sha256(repr(arrows).encode()).hexdigest() == digest, spec
+    arrow = build_diagram(complete(2)).arrows[0]
+    assert {arrow: 1}[arrow] == 1
+    with pytest.raises(AttributeError):
+        arrow.site = 2
