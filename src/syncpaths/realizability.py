@@ -12,8 +12,9 @@ depth-first extension "which item is next smallest", pruned by interval
 containment (a nested window is forced smaller, ``_open_items``) and by exact
 feasibility of each prefix, whose LP puts only the containment-minimal open
 items above it.  Its root witness is powers-of-two gaps when neither a prefix
-nor an equality row constrains it, else one root LP; a witness, integers in
-units of 1/d, is reused down the tree until a choice disagrees with it.
+nor an equality row constrains it, else one cold root LP; a witness,
+integers in units of 1/d, is reused down the tree until a choice disagrees
+with it; then the LP re-solves warm from the last tableau on the path.
 Counting feasible full orders for the complete graph counts combinatorial
 classes of Golomb rulers; the worker pool splits that search at depth two
 with the same child rule.
@@ -103,16 +104,13 @@ def _window_row(space: _ChainSpace, a: int, b: int):
     return coeffs, 1 - (hi - lo) + (hi_a - lo_a)
 
 
-def _chain_feasible(space: _ChainSpace, chain: Sequence[int], tails: Iterable[int] = ()):
-    """Witness gaps for: chain strictly increasing, every tail above the last.
-
-    Returns (gaps, d), the gaps as integers in units of 1/d, or None.
-    """
-    ge = [_window_row(space, a, b) for a, b in zip(chain, chain[1:])]
-    if chain:
-        last = chain[-1]
-        ge.extend(_window_row(space, last, j) for j in tails)
-    point = ratlp.solve_feasibility(space.n_gaps, ge_rows=ge, eq_rows=space.eq_rows)
+def _solve_chain(space: _ChainSpace, lp: ratlp.Tableau, chain: tuple[int, ...], k: int,
+                 tails: Iterable[int], eq_rows=()):
+    """Add to lp the rows of the chain's consecutive pairs from chain[k] on and of
+    every tail above its last item; solve: gaps (gaps, d) in units of 1/d, or None."""
+    pairs = [*zip(chain[k:], chain[k + 1 :]), *((chain[-1], t) for t in tails)]
+    lp.add([_window_row(space, a, b) for a, b in pairs], eq_rows)
+    point = lp.solve()
     if point is None:
         return None
     y, d = point
@@ -146,26 +144,34 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     """Feasible full chains extending prefix, depth first in item order.
 
     The root witness is powers-of-two gaps (distinct window sums for free)
-    when neither a prefix nor an equality row constrains it, else one exact
+    when neither a prefix nor an equality row constrains it, else one cold
     LP.  A node's witness is reused for any extension it already satisfies,
     so the LP runs only when the next-smallest choice disagrees with it.  The
     witness travels as its item magnitudes, integers in units of 1/d, so
     "at least 1 larger" reads "at least d larger".  Only the open tail items
     (``_open_items``) are constrained: any other tail item contains one of
     them, and with every gap at least 1 it is then larger by at least 1.
+
+    A node carries the tableau of the last LP on its path, solved for
+    chain[:k] with chain[k] among its tails.  A child's LP copies it, adds
+    the pairs from chain[k] on and the child's tail rows, and re-solves warm.
+    The rows it keeps of older tails are implied by the child's (containment,
+    gaps >= 1), so the region and the verdict are the child's.
     """
     masks = _containment_masks(space.windows)
     remaining = (1 << len(space.windows)) - 1
     for c in prefix:
         remaining &= ~(1 << c)
+    lp = ratlp.Tableau(space.n_gaps)
     if prefix or space.eq_rows:
-        root = _chain_feasible(space, prefix, _open_items(masks, remaining))
+        tails = _open_items(masks, remaining) if prefix else ()
+        root = _solve_chain(space, lp, prefix, 0, tails, space.eq_rows)
         if root is None:
             return
     else:
         root = [2**i for i in range(space.n_gaps)], 1
 
-    def extend(chain: tuple[int, ...], remaining: int, m, d) -> Iterator[tuple[int, ...]]:
+    def extend(chain, remaining, m, d, lp, k) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield chain
             return
@@ -174,16 +180,17 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
             tails = list(_open_items(masks, rest))
             above = m[c] + d
             if (chain and m[c] < m[chain[-1]] + d) or any(m[j] < above for j in tails):
-                w = _chain_feasible(space, chain + (c,), tails)
+                child, longer = lp.copy(), chain + (c,)
+                w = _solve_chain(space, child, longer, k, tails)
                 if w is None:
                     continue
                 gaps, w_d = w
-                yield from extend(chain + (c,), rest, _magnitudes(space, gaps), w_d)
+                yield from extend(longer, rest, _magnitudes(space, gaps), w_d, child, len(longer))
             else:
-                yield from extend(chain + (c,), rest, m, d)
+                yield from extend(chain + (c,), rest, m, d, lp, k)
 
     gaps, d = root
-    yield from extend(prefix, remaining, _magnitudes(space, gaps), d)
+    yield from extend(prefix, remaining, _magnitudes(space, gaps), d, lp, len(prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +223,7 @@ def _count_branch(args) -> int:
     return sum(1 for _chain in _chains(space, prefix))
 
 
-# n=7 (107498 classes) is the largest count measured to finish, in 536 s on one
+# n=7 (107498 classes) is the largest count measured to finish, in 279 s on one
 # core (2026-10-19, 2-core VM, CPython 3.11; the VM's speed varies up to 1.8x);
 # n=8 has 68 times as many classes, so its search runs for hours
 COUNT_LIMIT = 7
@@ -320,7 +327,7 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
 
 
 # `count --family knn` reports orderings up to here: n=3 (20 interleavings of
-# 9 magnitudes) took 1.3-1.8 s end to end (2026-10-19, 2 cores, CPython 3.11),
+# 9 magnitudes) took 0.8-1.2 s end to end (2026-10-19, 2 cores, CPython 3.11),
 # and n=4 has 70 interleavings of 16 magnitudes
 ORDERING_LIMIT_KNN = 3
 
@@ -366,11 +373,13 @@ def _feasible_kn(order: IncrementOrder) -> Configuration | None:
     space, labels = _kn_space(n)
     index = {lab: i for i, lab in enumerate(labels)}
     chain = [index[lab] for lab in order.labels]
-    witness = _chain_feasible(space, chain)
-    if witness is None:
+    ge = [_window_row(space, a, b) for a, b in zip(chain, chain[1:])]
+    point = ratlp.solve_feasibility(space.n_gaps, ge_rows=ge)
+    if point is None:
         return None
-    gaps, d = witness
-    return Configuration(complete(n), tuple(Fraction(v, d) for v in accumulate(gaps, initial=0)))
+    y, d = point
+    values = accumulate((v + d for v in y), initial=0)
+    return Configuration(complete(n), tuple(Fraction(v, d) for v in values))
 
 
 def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None:

@@ -4,6 +4,9 @@ import json
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from syncpaths import ratlp
 
 
@@ -135,3 +138,42 @@ def test_random_corpus_points_pinned():
     assert sum(o is None for o in outs) == 218
     digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
     assert digest == "38b5684d0f52477d2dfbf20a34503d6e185984197d463eea3511a124c3bab6c6"
+
+
+def _rows(nv, max_size):
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=nv, max_size=nv), st.integers(-3, 3))
+    return st.lists(row, max_size=max_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_warm_solve_equals_cold(data):
+    # a solved tableau, copied and given more rows, must reach the cold
+    # verdict on the union with an exact point; artificials it left basic at
+    # zero (a redundant equality, or a row that pins variables to zero) must
+    # stay at zero, and the copy must not disturb the tableau it came from
+    nv = data.draw(st.integers(1, 4))
+    ge1, eq1, ge2, eq2 = (data.draw(_rows(nv, k)) for k in (4, 2, 3, 2))
+    if eq1 and data.draw(st.booleans()):
+        c, b = eq1[0]
+        data.draw(st.sampled_from([eq1, eq2])).append(([2 * v for v in c], 2 * b))
+    if data.draw(st.booleans()):
+        pins = data.draw(st.lists(st.integers(-3, 0), min_size=nv, max_size=nv))
+        data.draw(st.sampled_from([ge1, eq1])).append((pins, 0))
+    parent = ratlp.Tableau(nv)
+    parent.add(ge1, eq1)
+    first = parent.solve()
+    assert first == ratlp.solve_feasibility(nv, ge1, eq1)
+    if first is None:
+        return
+    rows = [list(row) for row in parent.tab]
+    child = parent.copy()
+    child.add(ge2, eq2)
+    got = child.solve()
+    ge, eq = ge1 + ge2, eq1 + eq2
+    assert (got is None) == (ratlp.solve_feasibility(nv, ge, eq) is None)
+    if got is not None:
+        nums, d = got
+        assert d > 0 and all(v >= 0 for v in nums)
+        assert _holds([F(v, d) for v in nums], ge, eq)
+    assert parent.tab == rows and parent.solve() == first

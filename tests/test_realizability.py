@@ -128,32 +128,55 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "enumerate_rows, calls, rows",
+    "enumerate_rows, work",
     [
-        (lambda: enumerate_realizable_orderings_kn(4), 20, 66),
-        (lambda: enumerate_realizable_orderings_kn(5), 431, 2720),
-        (lambda: enumerate_realizable_orderings_knn(2), 28, 64),
-        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), 10, 18),
-        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), 1314, 9370),
+        (lambda: enumerate_realizable_orderings_kn(4), (20, 93, 25)),
+        (lambda: enumerate_realizable_orderings_kn(5), (431, 5097, 392)),
+        (lambda: enumerate_realizable_orderings_knn(2), (28, 82, 40)),
+        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (10, 18, 6)),
+        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (1314, 17190, 1278)),
     ],
     ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced"],
 )
-def test_lp_call_counts_are_pinned(enumerate_rows, calls, rows, monkeypatch):
-    # an extra root LP or a weaker witness-reuse test shows up as more calls,
-    # an implied tail row passed to the LP as more rows; the counter wraps the
-    # module attribute, which the search must resolve at call time
+def test_lp_call_counts_are_pinned(enumerate_rows, work, monkeypatch):
+    # (solves, rows in the tableau at each solve, pivots), summed over the
+    # search: an extra root LP or a weaker witness-reuse test shows up as more
+    # solves, an implied tail row as more rows, a lost warm start as more
+    # pivots; the pivots are read off each tableau's own count
     from syncpaths import ratlp
 
-    solve = ratlp.solve_feasibility
+    solve = ratlp.Tableau.solve
     seen = []
 
-    def counted(*args, ge_rows=(), eq_rows=()):
-        seen.append(len(ge_rows) + len(eq_rows))
-        return solve(*args, ge_rows=ge_rows, eq_rows=eq_rows)
+    def counted(lp):
+        before = lp.pivots
+        point = solve(lp)
+        seen.append((len(lp.tab), lp.pivots - before))
+        return point
 
-    monkeypatch.setattr(ratlp, "solve_feasibility", counted)
+    monkeypatch.setattr(ratlp.Tableau, "solve", counted)
     enumerate_rows()
-    assert (len(seen), sum(seen)) == (calls, rows)
+    assert (len(seen), sum(r for r, _ in seen), sum(p for _, p in seen)) == work
+
+
+@pytest.mark.parametrize(
+    "enumerate_rows, digest",
+    [
+        (
+            lambda: enumerate_realizable_orderings_kn(5),
+            "1b562690aa2c481f6052d4f7b7e63334e34819642cfe112078650adcead20808",
+        ),
+        (
+            lambda: enumerate_realizable_orderings_knn(3, balanced=True),
+            "a72786433791a99f3846de0a0a6b09deb18120ac70dfb4837c489223d44c5826",
+        ),
+    ],
+    ids=["kn5", "knn3-balanced"],
+)
+def test_enumeration_order_is_pinned(enumerate_rows, digest):
+    # the lists as returned, not sorted: the search's depth-first item order
+    # is part of the "deterministic order" the enumerators promise
+    assert _sha256_json(enumerate_rows()) == digest
 
 
 def test_kn4_orderings_match_reference():
