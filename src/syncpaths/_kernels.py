@@ -18,11 +18,10 @@ Most steps of a run change nothing, so from the same stage lines the kernel
 also compiles a loop that takes such quiet steps with the state in locals.
 
 ``integrate_events`` owns a run: it refuses a horizon above ``MAX_RK4_STEPS``
-before any work and a monitored pair that is not coupled before the first
-step, looks the compiled step up once per run, runs the quiet stretches in
-the compiled loop and takes each event step itself (re-step, desync check,
-bisection, tie check), so its event times are those of a step-by-step loop,
-bit for bit.  It raises the regime errors itself:
+before any work, looks the compiled step up once per run, watches every
+coupled pair, runs the quiet stretches in the compiled loop and takes each
+event step itself (re-step, desync check, bisection, tie check), so its
+event times are those of a step-by-step loop, bit for bit.  It raises the regime errors itself:
 ``NotTypicalError`` for two crossings within the bisection tolerance,
 ``UnsynchronizedError`` for an exhausted horizon, and the bare
 ``SyncPathsError`` for a synchronized pair that separates.  A step so large
@@ -44,6 +43,9 @@ NUMBA_ENABLED = False
 # benchmark compute is 1474522 (`simulate --family kn --n 4 --flow kuramoto
 # --seed 7 --eps 0.001`); the benchmark's K_{3,3} run at eps 1e-3 needs 1426476.
 MAX_RK4_STEPS = 10**7
+
+# A crossing time's bisection bracket, and the least gap between two crossings.
+CROSSING_TOL = 1e-10
 
 
 def _coupled(n, n_party):
@@ -90,14 +92,14 @@ def _step_function(n, n_party):
     stages do the same at ``y``, ``z`` and ``w``.
 
     The step carries, as ``step.quiet``, a loop compiled from the same stage
-    lines: ``quiet(x, sigma, h, eps, t, budget, active, pending)`` takes RK4
-    steps, adding ``h`` to ``t`` and taking one off the budget for each, and
-    returns ``(x, t, budget)``.  It stops when the budget runs out, or before
-    the first step on which a pair (u, v), u > v, of the set ``active`` has
-    ``abs(xu - xv) - eps > 0.0`` or one of ``pending`` has
+    lines: ``quiet(x, sigma, h, eps, t, budget, active)`` takes RK4 steps,
+    adding ``h`` to ``t`` and taking one off the budget for each, and returns
+    ``(x, t, budget)``.  It watches the coupled pairs (u, v), u > v, listed
+    in edge order as the tuple ``step.pairs``.  It stops when the budget runs
+    out, or before the first step on which a pair of the set ``active`` has
+    ``abs(xu - xv) - eps > 0.0`` or any other pair has
     ``abs(xu - xv) - eps <= 0.0``.  These are the event step's own tests,
-    unnegated, so a NaN distance is quiet in both.  It watches only the
-    coupled pairs, listed as ``step.pairs``.
+    unnegated, so a NaN distance is quiet in both.
     """
     xs = ", ".join(f"x{v}" for v in range(n))
     nxs = ", ".join(f"nx{v}" for v in range(n))
@@ -108,18 +110,16 @@ def _step_function(n, n_party):
     coupled = _coupled(n, n_party)
     watched = [(u, v) for v in range(n) for u in coupled[v] if u > v]
     # sin and abs as defaults: locals are read faster than globals
-    quiet = ["def quiet(x, sigma, h, eps, t, budget, active, pending, sin=sin, abs=abs):",
+    quiet = ["def quiet(x, sigma, h, eps, t, budget, active, sin=sin, abs=abs):",
              f"    {xs}, = x"]
-    for u, v in watched:
-        quiet += [f"    on{u}_{v} = ({u}, {v}) in active",
-                  f"    off{u}_{v} = ({u}, {v}) in pending"]
+    quiet += [f"    on{u}_{v} = ({u}, {v}) in active" for u, v in watched]
     quiet += [*scales, "    while budget > 0:"]
     quiet += ["    " + line for line in stages]
     for u, v in watched:
         quiet += [f"        if on{u}_{v}:",
                   f"            if abs(nx{u} - nx{v}) - eps > 0.0:",
                   "                break",
-                  f"        elif off{u}_{v} and abs(nx{u} - nx{v}) - eps <= 0.0:",
+                  f"        elif abs(nx{u} - nx{v}) - eps <= 0.0:",
                   "            break"]
     quiet += [f"        {xs}, = {nxs},", "        t += h", "        budget -= 1",
               f"    return [{xs}], t, budget"]
@@ -128,20 +128,19 @@ def _step_function(n, n_party):
     source = "\n".join(step + quiet)
     exec(compile(source, f"<rk4 kernel n={n} n_party={n_party}>", "exec"), namespace)
     namespace["step"].quiet = namespace["quiet"]
-    namespace["step"].pairs = frozenset(watched)
+    namespace["step"].pairs = tuple(watched)
     return namespace["step"]
 
 
-def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs):
-    """Integrate from x0 until every monitored pair is within eps.
+def integrate_events(x0, sigma, eps, n_party, step, horizon):
+    """Integrate from x0 until every coupled pair is within eps.
 
-    pairs lists the 0-based endpoints (u, v) of the monitored pairs, each
-    coupled (ValueError otherwise); those within eps at t=0 are synchronized
-    from the start.  n_party is 0 for all-to-all coupling, else the size of
-    the first bipartite party.
+    n_party is 0 for all-to-all coupling, else the size of the first
+    bipartite party.  The pairs are those of ``_step_function(...).pairs``,
+    in edge order; those within eps at t=0 are synchronized from the start.
     Crossing times are refined by bisection (re-stepping from the pre-step
-    state) to crossing_tol.  Returns (event_times, event_pairs), the events
-    as lists of times and pair indices in order of occurrence.
+    state) to ``CROSSING_TOL``.  Returns (event_times, event_pairs), the
+    events as lists of times and pair indices in order of occurrence.
     """
     steps = horizon / step if step else inf  # a zero step never ends
     if steps > MAX_RK4_STEPS:
@@ -149,25 +148,18 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
             f"horizon {horizon:.3g} at step {step:.3g} needs {steps:.3g} RK4 steps, "
             f"above the guard {MAX_RK4_STEPS}"
         )
+    budget = int(ceil(steps)) + 1
     rk4 = _step_function(len(x0), n_party)
     x = list(x0)
-    # abs(x_u - x_v) is symmetric, so a pair is kept as (larger, smaller) end
-    pairs = [(max(p), min(p)) for p in pairs]
-    uncoupled = [p for p in pairs if p not in rk4.pairs]
-    if uncoupled:  # the quiet loop watches only coupled pairs
-        raise ValueError(f"monitored pairs {uncoupled} are not coupled")
-    active = [(u, v) for u, v in pairs if abs(x[u] - x[v]) <= eps]
-    pending = [(i, u, v) for i, (u, v) in enumerate(pairs) if not abs(x[u] - x[v]) <= eps]
+    active = [(u, v) for u, v in rk4.pairs if abs(x[u] - x[v]) <= eps]
+    pending = [(i, u, v) for i, (u, v) in enumerate(rk4.pairs) if not abs(x[u] - x[v]) <= eps]
     ev_t, ev_p, t = [], [], 0.0
     if not pending:
         return ev_t, ev_p
 
     try:
-        budget = int(ceil(steps)) + 1
         while True:
-            x, t, budget = rk4.quiet(
-                x, sigma, step, eps, t, budget, set(active), {p[1:] for p in pending}
-            )
+            x, t, budget = rk4.quiet(x, sigma, step, eps, t, budget, set(active))
             if budget <= 0:
                 break
             # the step the quiet stretch stopped before: something happens on it
@@ -183,7 +175,7 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
                 if abs(xnew[u] - xnew[v]) - eps <= 0.0:
                     # bisect tau in (0, step]: the crossing of |x_u - x_v| = eps
                     lo, hi = 0.0, step
-                    while hi - lo > crossing_tol:
+                    while hi - lo > CROSSING_TOL:
                         mid = 0.5 * (lo + hi)
                         xb = rk4(x, sigma, mid)
                         if abs(xb[u] - xb[v]) - eps > 0.0:
@@ -193,7 +185,7 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_tol, pairs
                     crossed.append((t + hi, i, u, v))
 
             crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
-            if any(b[0] - a[0] < crossing_tol for a, b in zip(crossed, crossed[1:])):
+            if any(b[0] - a[0] < CROSSING_TOL for a, b in zip(crossed, crossed[1:])):
                 raise NotTypicalError("two crossings within crossing_tol")
             for tc, i, u, v in crossed:
                 ev_t.append(tc)

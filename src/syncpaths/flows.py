@@ -34,14 +34,13 @@ class KuramotoParams:
     sigma: float = 1.0
     step: float | None = None
     horizon: float | None = None
-    # a crossing time's bisection bracket, and the least gap between two crossings
-    crossing_tol: ClassVar[float] = 1e-10
+    crossing_tol: ClassVar[float] = _kernels.CROSSING_TOL
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        for name in ("sigma", "step", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def effective_step(self, eps: float, n: int) -> float:
         if self.step is not None:
@@ -182,6 +181,8 @@ def _linear_sequence(config: Configuration, eps) -> SyncSequence:
     to the initial code), so they are exempt from the typicality
     requirement; in particular a diagonal configuration has no events.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     n = config.spec.n
     values = [Fraction(v) for v in config.values]
     events = []  # (|d|, edge, sign of d)
@@ -294,6 +295,8 @@ def check_kuramoto_precondition(config: Configuration) -> None:
 
 def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> SyncSequence:
     """Event sequence of the Kuramoto flow, RK4 + bisection event location."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     check_kuramoto_precondition(config)
     if not config.is_ordered():
         raise ValueError("configuration must be (party-)ordered")
@@ -303,13 +306,11 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
     x0 = [float(v) for v in config.values]
 
     pairs = list(spec.edges())
-    ends = [(u - 1, v - 1) for u, v in pairs]
     step = params.effective_step(eps, spec.n)
     horizon = params.horizon
     if horizon is None:
-        worst = max([*(abs(x0[u] - x0[v]) for u, v in ends), eps])  # a single vertex has no pairs
+        # a single vertex has no pairs
+        worst = max([*(abs(x0[u - 1] - x0[v - 1]) for u, v in pairs), eps])
         horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
-    ev_t, ev_p = _kernels.integrate_events(
-        x0, params.sigma, eps, n_party, step, horizon, params.crossing_tol, ends
-    )
+    ev_t, ev_p = _kernels.integrate_events(x0, params.sigma, eps, n_party, step, horizon)
     return _sequence(config, eps, ((t, pairs[p], 0) for t, p in zip(ev_t, ev_p)))

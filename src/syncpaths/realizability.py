@@ -344,6 +344,8 @@ def enumerate_realizable_orderings_knn(
     orderable configuration; see the README section "Reference-table
     discrepancies").
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > ORDERING_LIMIT_KNN:
         raise SizeGuardError(
             f"bipartite ordering enumeration is guarded to n <= {ORDERING_LIMIT_KNN}"

@@ -487,6 +487,7 @@ def _oracle_integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_to
             f"horizon {horizon:.3g} at step {step:.3g} needs {steps:.3g} RK4 steps, "
             f"above the guard {_kernels.MAX_RK4_STEPS}"
         )
+    budget = int(math.ceil(steps)) + 1
     rk4 = _kernels._step_function(len(x0), n_party)
     x = list(x0)
     active = [(u, v) for u, v in pairs if abs(x[u] - x[v]) <= eps]
@@ -496,7 +497,7 @@ def _oracle_integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_to
         return ev_t, ev_p
 
     try:
-        for _ in range(int(math.ceil(steps)) + 1):
+        for _ in range(budget):
             xnew = rk4(x, sigma, step)
             for u, v in active:
                 if abs(xnew[u] - xnew[v]) - eps > 0.0:
@@ -538,7 +539,8 @@ def _oracle_integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_to
 
 
 def _event_args(spec, values, eps, horizon=None, step=None):
-    """integrate_events' arguments for a Kuramoto run, as kuramoto_sequence builds them."""
+    """The oracle's arguments for a Kuramoto run: the kernel's six, as
+    kuramoto_sequence builds them, then the tolerance and the edges' ends."""
     params = KuramotoParams(horizon=horizon, step=step)
     x0 = [float(v) for v in values]
     ends = [(u - 1, v - 1) for u, v in spec.edges()]
@@ -581,23 +583,20 @@ def test_event_loop_matches_per_step_oracle():
     outcomes = []
     for args in runs:
         want = _outcome(_oracle_integrate_events, args)
-        assert _outcome(_kernels.integrate_events, args) == want, args
+        assert _outcome(_kernels.integrate_events, args[:6]) == want, args
         outcomes.append(want[0] if isinstance(want[0], type) else "events")
     kinds = {o if isinstance(o, str) else o.__name__ for o in outcomes}
     assert kinds >= {"events", "SyncPathsError", "NotTypicalError", "UnsynchronizedError",
                      "ValueError"}
 
 
-def test_event_loop_refuses_uncoupled_pairs():
-    # the quiet loop watches only coupled pairs, so no other pair may be monitored
-    args = list(_event_args(bipartite(2), (0.0, 0.001, 0.0005, 0.003), 1e-3))
-    assert _kernels._step_function(4, 2).pairs == {(2, 0), (3, 0), (2, 1), (3, 1)}
-    for pairs in ([(0, 1)], [(2, 0), (3, 2)], [(1, 1)]):
-        args[-1] = pairs
-        with pytest.raises(ValueError, match="not coupled"):
-            _kernels.integrate_events(*args)
-    args[-1] = [(0, 2), (3, 1)]  # either end order is a coupled pair
-    assert _kernels.integrate_events(*args)[1] == [1]
+def test_kernel_pairs_follow_edge_order():
+    # integrate_events reports pair indices into step.pairs, which
+    # kuramoto_sequence maps through spec.edges()
+    for spec in [complete(n) for n in range(1, 9)] + [bipartite(n) for n in range(1, 6)]:
+        n_party = 0 if spec.family is Family.COMPLETE else spec.n
+        pairs = _kernels._step_function(spec.vertex_count, n_party).pairs
+        assert [(v + 1, u + 1) for u, v in pairs] == list(spec.edges()), spec
 
 
 def test_params_validation():
@@ -605,4 +604,18 @@ def test_params_validation():
         KuramotoParams(sigma=-1)
     with pytest.raises(ValueError):
         KuramotoParams(step=0)
+    for field in ("sigma", "step", "horizon"):
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+                KuramotoParams(**{field: bad})
+    from syncpaths.flows import switching_times_knn_balanced
+
+    k4 = cfg_kn(0.0, 0.003, 0.007, 0.012)
+    for bad in (math.nan, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            switching_times_kn(k4, bad)
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            switching_times_knn_balanced(cfg_knn(0, 4, 1, 3), bad)
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            kuramoto_sequence(k4, KuramotoParams(), bad)
     assert KuramotoParams(sigma=1.0).effective_step(1e-3, 4) == pytest.approx(2.5e-5)

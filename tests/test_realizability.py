@@ -239,6 +239,11 @@ def test_count_size_guard():
         assert time.perf_counter() - t0 < 1.0  # refused before any search
     with pytest.raises(SizeGuardError):
         enumerate_realizable_orderings_knn(ORDERING_LIMIT_KNN + 1)
+    for enumerate_orderings in (enumerate_realizable_orderings_kn,
+                                enumerate_realizable_orderings_knn):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                enumerate_orderings(n)
     with pytest.raises(SizeGuardError, match="interleaving bound"):
         knn_path_upper_bound(5)  # needs the unavailable Golomb(10)
 
