@@ -14,8 +14,10 @@ vertex order, never ``sum()`` (compensated since Python 3.12), so a run's
 event times are reproducible bit for bit.  The self term sin(0) = 0 is left
 out; adding it could only change the sign of a zero sum.
 
-Most steps of a run change nothing, so from the same stage lines the kernel
-also compiles a loop that takes such quiet steps with the state in locals.
+A pair is synchronized at x when ``abs(x_u - x_v) - eps <= 0.0``; its
+status is read from the positions, never kept beside them.  Most steps of a
+run are quiet: no pair changes side of eps.  From the same stage lines the
+kernel also compiles a loop that takes quiet steps with the state in locals.
 
 ``integrate_events`` owns a run: it refuses a horizon above ``MAX_RK4_STEPS``
 before any work, looks the compiled step up once per run, watches every
@@ -92,12 +94,13 @@ def _step_function(n, n_party):
     stages do the same at ``y``, ``z`` and ``w``.
 
     The step carries, as ``step.quiet``, a loop compiled from the same stage
-    lines: ``quiet(x, sigma, h, eps, t, budget, active)`` takes RK4 steps,
-    adding ``h`` to ``t`` and taking one off the budget for each, and returns
+    lines: ``quiet(x, sigma, h, eps, t, budget)`` takes RK4 steps, adding
+    ``h`` to ``t`` and taking one off the budget for each, and returns
     ``(x, t, budget)``.  It watches the coupled pairs (u, v), u > v, listed
     in edge order as the tuple ``step.pairs``.  It stops when the budget runs
-    out, or before the first step on which a pair of the set ``active`` has
-    ``abs(xu - xv) - eps > 0.0`` or any other pair has
+    out, or before the first step on which some pair changes side of eps:
+    a pair with ``abs(xu - xv) - eps <= 0.0`` at entry gets
+    ``abs(xu - xv) - eps > 0.0``, or any other pair gets
     ``abs(xu - xv) - eps <= 0.0``.  These are the event step's own tests,
     unnegated, so a NaN distance is quiet in both.
     """
@@ -110,9 +113,8 @@ def _step_function(n, n_party):
     coupled = _coupled(n, n_party)
     watched = [(u, v) for v in range(n) for u in coupled[v] if u > v]
     # sin and abs as defaults: locals are read faster than globals
-    quiet = ["def quiet(x, sigma, h, eps, t, budget, active, sin=sin, abs=abs):",
-             f"    {xs}, = x"]
-    quiet += [f"    on{u}_{v} = ({u}, {v}) in active" for u, v in watched]
+    quiet = ["def quiet(x, sigma, h, eps, t, budget, sin=sin, abs=abs):", f"    {xs}, = x"]
+    quiet += [f"    on{u}_{v} = abs(x{u} - x{v}) - eps <= 0.0" for u, v in watched]
     quiet += [*scales, "    while budget > 0:"]
     quiet += ["    " + line for line in stages]
     for u, v in watched:
@@ -137,10 +139,11 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon):
 
     n_party is 0 for all-to-all coupling, else the size of the first
     bipartite party.  The pairs are those of ``_step_function(...).pairs``,
-    in edge order; those within eps at t=0 are synchronized from the start.
-    Crossing times are refined by bisection (re-stepping from the pre-step
-    state) to ``CROSSING_TOL``.  Returns (event_times, event_pairs), the
-    events as lists of times and pair indices in order of occurrence.
+    in edge order; a pair is synchronized wherever
+    ``abs(x_u - x_v) - eps <= 0.0``.  Crossing times are refined by
+    bisection (re-stepping from the pre-step state) to ``CROSSING_TOL``.
+    Returns (event_times, event_pairs), the events as lists of times and
+    pair indices in order of occurrence.
     """
     steps = horizon / step if step else inf  # a zero step never ends
     if steps > MAX_RK4_STEPS:
@@ -151,28 +154,23 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon):
     budget = int(ceil(steps)) + 1
     rk4 = _step_function(len(x0), n_party)
     x = list(x0)
-    active = [(u, v) for u, v in rk4.pairs if abs(x[u] - x[v]) <= eps]
-    pending = [(i, u, v) for i, (u, v) in enumerate(rk4.pairs) if not abs(x[u] - x[v]) <= eps]
     ev_t, ev_p, t = [], [], 0.0
-    if not pending:
-        return ev_t, ev_p
-
     try:
-        while True:
-            x, t, budget = rk4.quiet(x, sigma, step, eps, t, budget, set(active))
+        while not all(abs(x[u] - x[v]) - eps <= 0.0 for u, v in rk4.pairs):
+            x, t, budget = rk4.quiet(x, sigma, step, eps, t, budget)
             if budget <= 0:
-                break
+                raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")
             # the step the quiet stretch stopped before: something happens on it
             xnew = rk4(x, sigma, step)
-            for u, v in active:
-                if abs(xnew[u] - xnew[v]) - eps > 0.0:
-                    raise SyncPathsError(
-                        "a synchronized pair desynchronized (outside monotone regime)"
-                    )
-
             crossed = []
-            for i, u, v in pending:
-                if abs(xnew[u] - xnew[v]) - eps <= 0.0:
+            for i, (u, v) in enumerate(rk4.pairs):
+                gap = abs(xnew[u] - xnew[v]) - eps
+                if abs(x[u] - x[v]) - eps <= 0.0:
+                    if gap > 0.0:
+                        raise SyncPathsError(
+                            "a synchronized pair desynchronized (outside monotone regime)"
+                        )
+                elif gap <= 0.0:
                     # bisect tau in (0, step]: the crossing of |x_u - x_v| = eps
                     lo, hi = 0.0, step
                     while hi - lo > CROSSING_TOL:
@@ -182,23 +180,18 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon):
                             lo = mid
                         else:
                             hi = mid
-                    crossed.append((t + hi, i, u, v))
+                    crossed.append((t + hi, i))
 
             crossed.sort(key=lambda c: c[0])  # stable: ties keep pair order
             if any(b[0] - a[0] < CROSSING_TOL for a, b in zip(crossed, crossed[1:])):
                 raise NotTypicalError("two crossings within crossing_tol")
-            for tc, i, u, v in crossed:
+            for tc, i in crossed:
                 ev_t.append(tc)
                 ev_p.append(i)
-                active.append((u, v))
-            pending = [p for p in pending if p[0] not in ev_p]
 
             x = xnew
             t += step
             budget -= 1
-            if not pending:
-                return ev_t, ev_p
     except ValueError:  # sin(inf): a stage overflowed
         raise ValueError(f"RK4 step {step:.3g} at sigma {sigma:.3g} overflows to inf") from None
-
-    raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")
+    return ev_t, ev_p

@@ -93,15 +93,18 @@ def parse_code_text(text: str, family: Family) -> KnCode | KnnCode:
 
 
 def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, object]:
-    """config.groups() and eps, checked sorted; all-rational input as ints in units of 1/lcm."""
-    groups = config.groups()
+    """config.groups() and eps, checked sorted and positive; all-rational input
+    as ints in units of 1/lcm."""
+    groups, unit = config.groups(), eps
     if type(eps) in _RATIONAL and all(type(v) in _RATIONAL for v in config.values):
         scale = math.lcm(eps.denominator, *(v.denominator for v in config.values))
-        eps = eps.numerator * (scale // eps.denominator)
+        unit = eps.numerator * (scale // eps.denominator)
         groups = [[v.numerator * (scale // v.denominator) for v in g] for g in groups]
+    if not unit > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if not all(a <= b for g in groups for a, b in zip(g, g[1:])):
         raise ValueError(unsorted)
-    return groups, eps
+    return groups, unit
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .graphs import Configuration, Edge, Family, GraphSpec, laplacian
 
 @dataclass(frozen=True)
 class KuramotoParams:
-    """Coupling strength plus integration controls.
+    """Coupling strength sigma and the RK4 step.
 
     step defaults to min(1e-3, eps / (10 * sigma * n)) so that event
     resolution beats the smallest expected inter-event gap.
@@ -33,11 +33,10 @@ class KuramotoParams:
 
     sigma: float = 1.0
     step: float | None = None
-    horizon: float | None = None
     crossing_tol: ClassVar[float] = _kernels.CROSSING_TOL
 
     def __post_init__(self) -> None:
-        for name in ("sigma", "step", "horizon"):
+        for name in ("sigma", "step"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -238,7 +237,11 @@ def cross_party_crossing_times(config: Configuration, eps, row: int, col: int) -
     """
     if config.spec.family is not Family.BIPARTITE:
         raise ValueError("bipartite configuration required")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     n = config.spec.n
+    if not (1 <= row <= n and 1 <= col <= n):
+        raise ValueError(f"row and col must lie in 1..{n}, got {row} and {col}")
     d = float(config[row]) - float(config[n + col])
     m1, m2 = config.party_means()
     b = float(m1 - m2)
@@ -307,10 +310,8 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
 
     pairs = list(spec.edges())
     step = params.effective_step(eps, spec.n)
-    horizon = params.horizon
-    if horizon is None:
-        # a single vertex has no pairs
-        worst = max([*(abs(x0[u - 1] - x0[v - 1]) for u, v in pairs), eps])
-        horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
+    # a single vertex has no pairs
+    worst = max([*(abs(x0[u - 1] - x0[v - 1]) for u, v in pairs), eps])
+    horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
     ev_t, ev_p = _kernels.integrate_events(x0, params.sigma, eps, n_party, step, horizon)
     return _sequence(config, eps, ((t, pairs[p], 0) for t, p in zip(ev_t, ev_p)))

@@ -84,6 +84,8 @@ class Configuration:
 
     def __getitem__(self, vertex: int) -> Number:
         """Position of a 1-based vertex."""
+        if not 1 <= vertex <= len(self.values):
+            raise IndexError(f"vertex {vertex} outside 1..{len(self.values)}")
         return self.values[vertex - 1]
 
     def party(self, which: int) -> tuple[Number, ...]:

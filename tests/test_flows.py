@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from syncpaths.codes import encode_kn, encode_knn
 from syncpaths.errors import NotTypicalError
 from syncpaths.flows import (
     KuramotoParams,
@@ -184,6 +185,13 @@ def test_cross_party_crossing_balanced_single():
     assert ts[0] == pytest.approx(math.log(3 / 0.5) / 2)
     # already-synchronized pair, monotone decay: no crossings
     assert cross_party_crossing_times(cfg, 1.5, 1, 1) == ()
+    # rows and columns are 1-based; 0 must not wrap round to the last vertex
+    for row, col in ((0, 1), (1, 0), (3, 1), (1, 3)):
+        with pytest.raises(ValueError, match="^row and col must lie in 1..2"):
+            cross_party_crossing_times(cfg, 0.5, row, col)
+    for vertex in (0, 5, -1):
+        with pytest.raises(IndexError, match=f"^vertex {vertex} outside 1..4$"):
+            cfg[vertex]
 
 
 def test_cross_party_crossing_two():
@@ -449,12 +457,15 @@ def test_kuramoto_kernel_output_is_pinned():
 
 
 def test_kuramoto_horizon_exhausted():
-    # the same K4 run completes at t = 0.62 with the default horizon
+    # the same K4 run completes at t = 0.62 with the default step; at step
+    # 0.69 (h sigma n = 2.76, near the end of RK4's stability interval) a
+    # step shrinks the differences by only about 4%, too little to bring
+    # them within eps by the horizon 17.4
     from syncpaths.errors import UnsynchronizedError
 
     cfg = cfg_kn(0.0, 0.003, 0.007, 0.012)
-    with pytest.raises(UnsynchronizedError):
-        kuramoto_sequence(cfg, KuramotoParams(horizon=0.05), 1e-3)
+    with pytest.raises(UnsynchronizedError, match="^horizon 17.4 exhausted$"):
+        kuramoto_sequence(cfg, KuramotoParams(step=0.69), 1e-3)
 
 
 def test_kuramoto_run_looks_the_step_up_once():
@@ -473,7 +484,7 @@ def test_kuramoto_run_looks_the_step_up_once():
         assert lookups() == before + 1
     before = lookups()
     with pytest.raises(UnsynchronizedError):
-        kuramoto_sequence(k4, KuramotoParams(horizon=0.05), 1e-3)
+        kuramoto_sequence(k4, KuramotoParams(step=0.69), 1e-3)
     assert lookups() == before + 1
 
 
@@ -541,7 +552,7 @@ def _oracle_integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_to
 def _event_args(spec, values, eps, horizon=None, step=None):
     """The oracle's arguments for a Kuramoto run: the kernel's six, as
     kuramoto_sequence builds them, then the tolerance and the edges' ends."""
-    params = KuramotoParams(horizon=horizon, step=step)
+    params = KuramotoParams(step=step)
     x0 = [float(v) for v in values]
     ends = [(u - 1, v - 1) for u, v in spec.edges()]
     n_party = 0 if spec.family is Family.COMPLETE else spec.n
@@ -573,12 +584,16 @@ def test_event_loop_matches_per_step_oracle():
             # a coarser step than the default eps / (10 n) keeps this fast and
             # lands several crossings in one step now and then
             runs.append(_event_args(spec, values, eps, step=eps / (3 * spec.n)))
+    eps = 2.0**-10
     runs += [
         _event_args(bipartite(2), (0.0, 0.001, 0.0005, 0.35), 1e-3),  # desync
         _event_args(bipartite(2), (0.0, 0.02, 0.005, 0.015), 1e-3),  # tie
         _event_args(complete(4), (0.0, 0.003, 0.007, 0.012), 1e-3, horizon=0.05),  # horizon
         _event_args(complete(3), (0.0, 0.05, 0.15), 1e-3, step=1e308),  # overflow
         _event_args(complete(3), (0.0, math.nan, 0.01), 1e-3, horizon=0.05),  # NaN is quiet
+        # pair (1,2) sits exactly at eps: synchronized, since a pair's status
+        # is abs(xu - xv) - eps <= 0.0; pair (2,3) crosses on the first step
+        _event_args(complete(3), (0.0, eps, eps + eps * (1 + 1e-6)), eps),
     ]
     outcomes = []
     for args in runs:
@@ -604,7 +619,7 @@ def test_params_validation():
         KuramotoParams(sigma=-1)
     with pytest.raises(ValueError):
         KuramotoParams(step=0)
-    for field in ("sigma", "step", "horizon"):
+    for field in ("sigma", "step"):
         for bad in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
                 KuramotoParams(**{field: bad})
@@ -618,4 +633,10 @@ def test_params_validation():
             switching_times_knn_balanced(cfg_knn(0, 4, 1, 3), bad)
         with pytest.raises(ValueError, match="^eps must be positive"):
             kuramoto_sequence(k4, KuramotoParams(), bad)
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            encode_kn(k4, bad)
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            encode_knn(cfg_knn(0, 4, 1, 3), bad)
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            cross_party_crossing_times(cfg_knn(0, 4, 1, 3), bad, 1, 1)
     assert KuramotoParams(sigma=1.0).effective_step(1e-3, 4) == pytest.approx(2.5e-5)
