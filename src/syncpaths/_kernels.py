@@ -14,6 +14,13 @@ vertex order, never ``sum()`` (compensated since Python 3.12), so a run's
 event times are reproducible bit for bit.  The self term sin(0) = 0 is left
 out; adding it could only change the sign of a zero sum.
 
+Negated terms come first, and each sum is written without a unary minus by
+the IEEE identities ``(-p) - q == -(p + q)`` and ``-P + r == r - P``:
+``-p - q + r`` becomes ``r - (p + q)``, and a vertex with only negated terms
+subtracts its sum in the updates.  Only the sign of an exact zero can
+differ, and no nonzero value, comparison or event time sees it.  For sigma
+1.0 the step has no ``sigma *``, as ``1.0 * v == v`` for every float.
+
 A pair is synchronized at x when ``abs(x_u - x_v) - eps <= 0.0``; its
 status is read from the positions, never kept beside them.  Most steps of a
 run are quiet: no pair changes side of eps.  From the same stage lines the
@@ -57,41 +64,49 @@ def _coupled(n, n_party):
     return [range(n_party, n) if v < n_party else range(n_party) for v in range(n)]
 
 
-def _velocities(n, n_party, pos, out):
-    """Source lines of one RK4 stage: velocities ``out<v>`` at positions ``pos<v>``."""
+def _velocities(n, n_party, pos, out, mul):
+    """Source lines of one RK4 stage: velocities ``out<v>`` at ``pos<v>`` ("g": sine ``g<u>_<v>``)."""
     coupled = _coupled(n, n_party)
     lines = [
-        f"    s{u}_{v} = sin({pos}{u} - {pos}{v})"
+        f"    s{u}_{v} = sin({f'g{u}_{v}' if pos == 'g' else f'{pos}{u} - {pos}{v}'})"
         for v in range(n) for u in coupled[v] if u > v
     ]
     for v in range(n):
-        terms = [f"s{u}_{v}" if u > v else f"-s{v}_{u}" for u in coupled[v]]
-        total = " + ".join(terms).replace(" + -", " - ") or "0.0"
-        lines.append(f"    {out}{v} = sigma * ({total})")
+        highs = [f"s{u}_{v}" for u in coupled[v] if u > v]
+        lows = " + ".join(f"s{v}_{u}" for u in coupled[v] if u < v)
+        if highs and lows:  # -(p + q) + r == r - (p + q)
+            highs[0] += f" - ({lows})" if " " in lows else f" - {lows}"
+        lines.append(f"    {out}{v} = {mul}({' + '.join(highs) or lows or '0.0'})")
     return lines
 
 
-def _stages(n, n_party):
-    """Source lines of one RK4 step from ``x<v>`` to ``nx<v>``, given ``half`` and ``sixth``."""
+def _stages(n, n_party, mul, first):
+    """Source lines of one RK4 step from ``x<v>`` (sines at ``first``) to ``nx<v>``."""
+    coupled = _coupled(n, n_party)
+    # a vertex coupled only to lower vertices sums its terms positive: subtract its velocity
+    sign = ["-" if coupled[v] and max(coupled[v]) < v else "+" for v in range(n)]
     lines = []
-    for pos, out, nxt, scale in (("x", "a", "y", "half"), ("y", "b", "z", "half"),
+    for pos, out, nxt, scale in ((first, "a", "y", "half"), ("y", "b", "z", "half"),
                                  ("z", "c", "w", "h"), ("w", "d", None, None)):
-        lines += _velocities(n, n_party, pos, out)
+        lines += _velocities(n, n_party, pos, out, mul)
         if nxt:
-            lines += [f"    {nxt}{v} = x{v} + {scale} * {out}{v}" for v in range(n)]
+            lines += [f"    {nxt}{v} = x{v} {sign[v]} {scale} * {out}{v}" for v in range(n)]
     lines += [
-        f"    nx{v} = x{v} + sixth * (a{v} + 2.0 * b{v} + 2.0 * c{v} + d{v})" for v in range(n)
+        f"    nx{v} = x{v} {sign[v]} sixth * (a{v} + 2.0 * b{v} + 2.0 * c{v} + d{v})"
+        for v in range(n)
     ]
     return lines
 
 
 @lru_cache
-def _step_function(n, n_party):
+def _step_function(n, n_party, unit_sigma=False):
     """Compile the RK4 step ``(x, sigma, h) -> new x`` of one graph size.
 
     For K_3 the first stage reads ``s1_0 = sin(x1 - x0)``, ``s2_0 = ...``,
-    ``s2_1 = ...``, then ``a1 = sigma * (-s1_0 + s2_1)`` and so on; the next
-    stages do the same at ``y``, ``z`` and ``w``.
+    ``s2_1 = ...``, then ``a0 = sigma * (s1_0 + s2_0)``,
+    ``a1 = sigma * (s2_1 - s1_0)``, ``a2 = sigma * (s2_0 + s2_1)`` and
+    ``y2 = x2 - half * a2``; the next stages do the same at ``y``, ``z`` and
+    ``w``.  The ``unit_sigma`` step is for sigma 1.0: it has no ``sigma *``.
 
     The step carries, as ``step.quiet``, a loop compiled from the same stage
     lines: ``quiet(x, sigma, h, eps, t, budget)`` takes RK4 steps, adding
@@ -100,35 +115,41 @@ def _step_function(n, n_party):
     in edge order as the tuple ``step.pairs``.  It stops when the budget runs
     out, or before the first step on which some pair changes side of eps:
     a pair with ``abs(xu - xv) - eps <= 0.0`` at entry gets
-    ``abs(xu - xv) - eps > 0.0``, or any other pair gets
-    ``abs(xu - xv) - eps <= 0.0``.  These are the event step's own tests,
-    unnegated, so a NaN distance is quiet in both.
+    ``g > eps or g < -eps`` at the new ``g = xu - xv``, or any other pair
+    gets ``-eps <= g <= eps``.  For eps finite and > 0 these are the event
+    step's ``abs(g) - eps > 0.0`` and ``<= 0.0`` for every g (with gradual
+    underflow ``abs(g) - eps`` is 0 only at ``abs(g) == eps``): inf breaks
+    and NaN is quiet in both.  Each checked g is the next step's first sine
+    argument, so the loop takes ``x1 - x0`` and the like at entry only.
     """
     xs = ", ".join(f"x{v}" for v in range(n))
     nxs = ", ".join(f"nx{v}" for v in range(n))
-    stages = _stages(n, n_party)
     scales = ["    half = 0.5 * h", "    sixth = h / 6.0"]
-    step = ["def step(x, sigma, h):", f"    {xs}, = x", *scales, *stages, f"    return [{nxs}]"]
+    mul = "" if unit_sigma else "sigma * "
+    step = ["def step(x, sigma, h):", f"    {xs}, = x", *scales,
+            *_stages(n, n_party, mul, "x"), f"    return [{nxs}]"]
 
     coupled = _coupled(n, n_party)
     watched = [(u, v) for v in range(n) for u in coupled[v] if u > v]
-    # sin and abs as defaults: locals are read faster than globals
-    quiet = ["def quiet(x, sigma, h, eps, t, budget, sin=sin, abs=abs):", f"    {xs}, = x"]
-    quiet += [f"    on{u}_{v} = abs(x{u} - x{v}) - eps <= 0.0" for u, v in watched]
-    quiet += [*scales, "    while budget > 0:"]
-    quiet += ["    " + line for line in stages]
+    # sin as a default: locals are read faster than globals
+    quiet = ["def quiet(x, sigma, h, eps, t, budget, sin=sin):", f"    {xs}, = x"]
+    quiet += [f"    g{u}_{v} = x{u} - x{v}" for u, v in watched]
+    quiet += [f"    on{u}_{v} = abs(g{u}_{v}) - eps <= 0.0" for u, v in watched]
+    quiet += [*scales, "    neps = -eps", "    while budget > 0:"]
+    quiet += ["    " + line for line in _stages(n, n_party, mul, "g")]
     for u, v in watched:
-        quiet += [f"        if on{u}_{v}:",
-                  f"            if abs(nx{u} - nx{v}) - eps > 0.0:",
+        quiet += [f"        g{u}_{v} = nx{u} - nx{v}",
+                  f"        if on{u}_{v}:",
+                  f"            if g{u}_{v} > eps or g{u}_{v} < neps:",
                   "                break",
-                  f"        elif abs(nx{u} - nx{v}) - eps <= 0.0:",
+                  f"        elif neps <= g{u}_{v} <= eps:",
                   "            break"]
     quiet += [f"        {xs}, = {nxs},", "        t += h", "        budget -= 1",
               f"    return [{xs}], t, budget"]
 
     namespace = {"sin": sin}
-    source = "\n".join(step + quiet)
-    exec(compile(source, f"<rk4 kernel n={n} n_party={n_party}>", "exec"), namespace)
+    name = f"<rk4 kernel n={n} n_party={n_party} unit_sigma={unit_sigma}>"
+    exec(compile("\n".join(step + quiet), name, "exec"), namespace)
     namespace["step"].quiet = namespace["quiet"]
     namespace["step"].pairs = tuple(watched)
     return namespace["step"]
@@ -152,7 +173,7 @@ def integrate_events(x0, sigma, eps, n_party, step, horizon):
             f"above the guard {MAX_RK4_STEPS}"
         )
     budget = int(ceil(steps)) + 1
-    rk4 = _step_function(len(x0), n_party)
+    rk4 = _step_function(len(x0), n_party, sigma == 1.0)
     x = list(x0)
     ev_t, ev_p, t = [], [], 0.0
     try:

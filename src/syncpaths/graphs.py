@@ -88,6 +88,10 @@ class Configuration:
             raise IndexError(f"vertex {vertex} outside 1..{len(self.values)}")
         return self.values[vertex - 1]
 
+    def __iter__(self):
+        """Positions in vertex order; Python would otherwise index ``__getitem__`` from 0."""
+        return iter(self.values)
+
     def party(self, which: int) -> tuple[Number, ...]:
         n = self.spec.n
         if self.spec.family is Family.COMPLETE:

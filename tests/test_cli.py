@@ -420,6 +420,7 @@ CLI_CORPUS = [
     ("simulate --family kn --n 3 --flow kuramoto --step 1e200", 1, "e3b0c44298fc1c14", "1db2d2b652bdef36"),
     ("simulate --family kn --n 3 --flow kuramoto --sigma 1e308", 3, "e3b0c44298fc1c14", "f35ad6212114fb5b"),
     ("simulate --family knn --n 3 --eps 0.001 --seed 11 --balanced", 0, "d2548d0353a89baa", "4d1e56a088d1a6c3"),
+    ("simulate --family knn --n 3 --seed 11 --flow kuramoto --sigma 0.5 --eps 0.01", 0, "b0e79370514ff937", "4d1e56a088d1a6c3"),
     ("simulate --family knn --n 2 --eps 0.5 --x 0,3,0.5,3.5", 2, "e3b0c44298fc1c14", "1eebb8d6ec2b09c6"),
     ("encode --family kn --n 4 --eps 1 --x 0,1,3,4", 0, "a9fcce09a5bc66da", "e3b0c44298fc1c14"),
     ("encode --family knn --n 2 --eps 1 --x 0,3,1,2", 0, "a5aa70d4435e11a3", "e3b0c44298fc1c14"),

@@ -373,6 +373,9 @@ def test_rk4_step_is_bit_identical_to_loop_oracle():
             h = float(rng.choice([1e-2, 2.5e-5, rng.random()]))
             got = _kernels._step_function(size, n_party)(x, sigma, h)
             assert got == _oracle_rk4_step(x, sigma, n_party, h), (size, n_party, x, sigma, h)
+            # the variant compiled for sigma 1.0, which leaves out sigma * (...)
+            got = _kernels._step_function(size, n_party, True)(x, 1.0, h)
+            assert got == _oracle_rk4_step(x, 1.0, n_party, h), (size, n_party, x, h)
     x = [float(v) for v in rng.uniform(-0.5, 0.5, 40)]
     assert _kernels._step_function(40, 0)(x, 1.0, 1e-3) == _oracle_rk4_step(x, 1.0, 0, 1e-3)
 
@@ -549,10 +552,10 @@ def _oracle_integrate_events(x0, sigma, eps, n_party, step, horizon, crossing_to
     raise UnsynchronizedError(f"horizon {horizon:.3g} exhausted")
 
 
-def _event_args(spec, values, eps, horizon=None, step=None):
+def _event_args(spec, values, eps, horizon=None, step=None, sigma=1.0):
     """The oracle's arguments for a Kuramoto run: the kernel's six, as
     kuramoto_sequence builds them, then the tolerance and the edges' ends."""
-    params = KuramotoParams(step=step)
+    params = KuramotoParams(sigma=sigma, step=step)
     x0 = [float(v) for v in values]
     ends = [(u - 1, v - 1) for u, v in spec.edges()]
     n_party = 0 if spec.family is Family.COMPLETE else spec.n
@@ -584,6 +587,13 @@ def test_event_loop_matches_per_step_oracle():
             # a coarser step than the default eps / (10 n) keeps this fast and
             # lands several crossings in one step now and then
             runs.append(_event_args(spec, values, eps, step=eps / (3 * spec.n)))
+    # sigma other than 1.0 runs the general compiled loop; the oracle always
+    # steps with the general variant
+    rng = np.random.default_rng(31)
+    for sigma in (0.37, 2.5):
+        for spec in (complete(3), complete(4), complete(6), bipartite(2), bipartite(3)):
+            values = rng.uniform(-0.05, 0.05, spec.vertex_count)
+            runs.append(_event_args(spec, values, 0.005, step=0.005 / (3 * spec.n), sigma=sigma))
     eps = 2.0**-10
     runs += [
         _event_args(bipartite(2), (0.0, 0.001, 0.0005, 0.35), 1e-3),  # desync
@@ -595,6 +605,13 @@ def test_event_loop_matches_per_step_oracle():
         # is abs(xu - xv) - eps <= 0.0; pair (2,3) crosses on the first step
         _event_args(complete(3), (0.0, eps, eps + eps * (1 + 1e-6)), eps),
     ]
+    # the fifth step lands the nearest pair exactly on +eps or on -eps
+    for x in ((0.0, 0.01, 0.03), (0.03, 0.01, 0.0)):
+        xk = list(x)
+        for _ in range(5):
+            xk = _kernels._step_function(3, 0)(xk, 1.0, 1e-3)
+        eps = min(abs(xk[1] - xk[0]), abs(xk[2] - xk[1]))
+        runs.append(_event_args(complete(3), x, eps, step=1e-3))
     outcomes = []
     for args in runs:
         want = _outcome(_oracle_integrate_events, args)

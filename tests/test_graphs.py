@@ -98,6 +98,17 @@ def test_predicates():
     assert cfg.party_means() == (Fraction(2), Fraction(2))
 
 
+def test_configuration_iterates_in_vertex_order():
+    # __getitem__ is 1-based; iteration and membership must not go through it
+    for cfg in (Configuration(complete(3), (1, 2, 3)),
+                Configuration(bipartite(2), (0, Fraction(4), 1.5, 3))):
+        assert list(cfg) == list(cfg.values)
+        assert [cfg[v] for v in range(1, len(cfg.values) + 1)] == list(cfg)
+    cfg = Configuration(complete(3), (1, 2, 3))
+    assert 2 in cfg and 1 in cfg and 3 in cfg
+    assert 0 not in cfg and 4 not in cfg
+
+
 def test_configuration_json_roundtrip():
     cfg = Configuration(complete(3), (Fraction(1, 3), 0.5, Fraction(2)))
     back = configuration_from_json(cfg.to_json())
