@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .codes import CODES, Code, apply_edge
 from .errors import NotTypicalError, SyncPathsError
-from .graphs import Configuration, Edge, Family, GraphSpec, laplacian
+from .graphs import Configuration, Edge, Family, GraphSpec, check_positive
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,8 @@ class KuramotoParams:
 
     def __post_init__(self) -> None:
         for name in ("sigma", "step"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if (value := getattr(self, name)) is not None:
+                check_positive(value, name)
 
     def effective_step(self, eps: float, n: int) -> float:
         if self.step is not None:
@@ -139,31 +138,20 @@ def rk4_linear_step(mat: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def rk4_linear_trajectory(config: Configuration, t: float, step: float = 1e-3) -> Configuration:
-    """RK4 integration of the linear flow; cross-validates the closed forms."""
-    mat = laplacian(config.spec).astype(np.float64)
-    x = config.as_array()
-    remaining = t
-    while remaining > 1e-15:
-        h = min(step, remaining)
-        x = rk4_linear_step(mat, x, h)
-        remaining -= h
-    return Configuration(config.spec, tuple(x))
-
-
 # ---------------------------------------------------------------------------
 # switching times of the linear flow
 # ---------------------------------------------------------------------------
 
-def _sequence(config: Configuration, eps, timed_edges) -> SyncSequence:
-    """Replay (t, edge, direction) events from the code of config at eps.
+def _sequence(config: Configuration, eps, timed_edges, *args) -> SyncSequence:
+    """Encode config at eps, the only check of eps and order, then replay the
+    (t, edge, direction) events of timed_edges(config, eps, *args) from its code.
 
     direction is the sign of the edge's initial difference, or 0 where it
     is not checked; a bipartite edge must join from that side.
     """
     initial = code = CODES[config.spec.family].encode(config, eps)
     events = []
-    for t, edge, direction in timed_edges:
+    for t, edge, direction in timed_edges(config, eps, *args):
         site, sign, code, _ = apply_edge(config.spec.family, code, edge)
         if sign * direction < 0:
             raise SyncPathsError(f"edge {edge} joined from the side opposite its sign")
@@ -171,8 +159,8 @@ def _sequence(config: Configuration, eps, timed_edges) -> SyncSequence:
     return SyncSequence(config.spec, float(eps), initial, tuple(events), code)
 
 
-def _linear_sequence(config: Configuration, eps) -> SyncSequence:
-    """Events of a linear flow whose every difference decays at rate n.
+def _linear_events(config: Configuration, eps) -> list:
+    """Timed events of a linear flow whose every difference decays at rate n.
 
     The edge with exact difference d, |d| > eps, appears at
     (log |d| - log eps) / n, so sorting by |d| sorts by time exactly.
@@ -180,8 +168,6 @@ def _linear_sequence(config: Configuration, eps) -> SyncSequence:
     to the initial code), so they are exempt from the typicality
     requirement; in particular a diagonal configuration has no events.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     n = config.spec.n
     values = [Fraction(v) for v in config.values]
     events = []  # (|d|, edge, sign of d)
@@ -193,20 +179,17 @@ def _linear_sequence(config: Configuration, eps) -> SyncSequence:
     if any(a[0] == b[0] for a, b in zip(events, events[1:])):
         raise NotTypicalError("event-generating increments must be pairwise distinct")
     log_eps = math.log(eps)
-    timed = [((math.log(mag) - log_eps) / n, edge, sign) for mag, edge, sign in events]
-    return _sequence(config, eps, timed)
+    return [((math.log(mag) - log_eps) / n, edge, sign) for mag, edge, sign in events]
 
 
 def switching_times_kn(config: Configuration, eps) -> SyncSequence:
     """Event sequence of the linear flow on the complete graph, from the closed form.
 
-    Every increment contracts at rate n (see ``_linear_sequence``).
+    Every increment contracts at rate n (see ``_linear_events``).
     """
     if config.spec.family is not Family.COMPLETE:
         raise ValueError("complete-graph configuration required")
-    if not config.is_ordered():
-        raise ValueError("configuration must be sorted ascending")
-    return _linear_sequence(config, eps)
+    return _sequence(config, eps, _linear_events)
 
 
 def switching_times_knn_balanced(config: Configuration, eps) -> SyncSequence:
@@ -220,11 +203,9 @@ def switching_times_knn_balanced(config: Configuration, eps) -> SyncSequence:
     """
     if config.spec.family is not Family.BIPARTITE:
         raise ValueError("bipartite configuration required")
-    if not config.is_ordered():
-        raise ValueError("both parties must be sorted ascending")
     if not config.is_balanced():
         raise ValueError("party means must be equal; use the Kuramoto flow otherwise")
-    return _linear_sequence(config, eps)
+    return _sequence(config, eps, _linear_events)
 
 
 def cross_party_crossing_times(config: Configuration, eps, row: int, col: int) -> tuple[float, ...]:
@@ -237,8 +218,7 @@ def cross_party_crossing_times(config: Configuration, eps, row: int, col: int) -
     """
     if config.spec.family is not Family.BIPARTITE:
         raise ValueError("bipartite configuration required")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_positive(eps)
     n = config.spec.n
     if not (1 <= row <= n and 1 <= col <= n):
         raise ValueError(f"row and col must lie in 1..{n}, got {row} and {col}")
@@ -298,11 +278,12 @@ def check_kuramoto_precondition(config: Configuration) -> None:
 
 def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> SyncSequence:
     """Event sequence of the Kuramoto flow, RK4 + bisection event location."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    return _sequence(config, eps, _kuramoto_events, params)
+
+
+def _kuramoto_events(config: Configuration, eps, params: KuramotoParams):
+    """Timed events of the Kuramoto flow; eps and the order are already checked."""
     check_kuramoto_precondition(config)
-    if not config.is_ordered():
-        raise ValueError("configuration must be (party-)ordered")
     spec = config.spec
     eps = float(eps)
     n_party = 0 if spec.family is Family.COMPLETE else spec.n
@@ -314,4 +295,4 @@ def kuramoto_sequence(config: Configuration, params: KuramotoParams, eps) -> Syn
     worst = max([*(abs(x0[u - 1] - x0[v - 1]) for u, v in pairs), eps])
     horizon = 20.0 * (math.log(worst / eps) + 1.0) / (params.sigma * spec.n)
     ev_t, ev_p = _kernels.integrate_events(x0, params.sigma, eps, n_party, step, horizon)
-    return _sequence(config, eps, ((t, pairs[p], 0) for t, p in zip(ev_t, ev_p)))
+    return ((t, pairs[p], 0) for t, p in zip(ev_t, ev_p))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -96,6 +97,8 @@ class Configuration:
         n = self.spec.n
         if self.spec.family is Family.COMPLETE:
             raise ValueError("complete graphs have a single party")
+        if which not in (1, 2):
+            raise ValueError(f"party must be 1 or 2, got {which}")
         return self.values[:n] if which == 1 else self.values[n:]
 
     def groups(self) -> tuple[tuple[Number, ...], ...]:
@@ -162,10 +165,18 @@ def laplacian(spec: GraphSpec) -> np.ndarray:
     return mat
 
 
+def check_positive(value: Number, name: str = "eps", unit: Number | None = None) -> None:
+    """Refuse value unless finite and > 0: the rule of every entry taking eps, and
+    of the Kuramoto sigma and step.  unit, if given, is tested in value's place
+    (the rational encoder's eps in integer units: same sign, always finite)."""
+    v = value if unit is None else unit
+    if not (v > 0 if type(v) in (int, Fraction) else 0 < v < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def sync_subnetwork(config: Configuration, eps: Number) -> frozenset[Edge]:
     """Edges whose endpoint positions are within eps of each other (closed inequality)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_positive(eps)
     x = config.values
     return frozenset(
         (u, v) for u, v in config.spec.edges() if abs(x[u - 1] - x[v - 1]) <= eps

@@ -228,8 +228,6 @@ def _count_branch(args) -> int:
 # n=8 has 68 times as many classes, so its search runs for hours
 COUNT_LIMIT = 7
 
-_count_cache: dict[int, int] = {}
-
 
 def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
     """Number of feasible full increment orders = number of Golomb-ruler classes.
@@ -241,28 +239,23 @@ def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
         raise ValueError("n must be >= 1")
     if n > COUNT_LIMIT:
         raise SizeGuardError(f"counting is guarded to n <= {COUNT_LIMIT}")
-    if n in _count_cache:
-        return _count_cache[n]
     if n <= 2:
         return 1
     cpus = os.cpu_count() or 1
     jobs = cpus if jobs is None else min(jobs, cpus)
     if jobs <= 1 or n <= 4:
-        count = _count_branch((n, ()))
-    else:
-        # split the search at depth two; workers feasibility-check their prefix
-        space, _ = _kn_space(n)
-        masks = _containment_masks(space.windows)
-        full = (1 << len(masks)) - 1
-        prefixes = [
-            (n, (c1, c2))
-            for c1 in _open_items(masks, full)
-            for c2 in _open_items(masks, full & ~(1 << c1))
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            count = sum(pool.map(_count_branch, prefixes))
-    _count_cache[n] = count
-    return count
+        return _count_branch((n, ()))
+    # split the search at depth two; workers feasibility-check their prefix
+    space, _ = _kn_space(n)
+    masks = _containment_masks(space.windows)
+    full = (1 << len(masks)) - 1
+    prefixes = [
+        (n, (c1, c2))
+        for c1 in _open_items(masks, full)
+        for c2 in _open_items(masks, full & ~(1 << c1))
+    ]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return sum(pool.map(_count_branch, prefixes))
 
 
 class GolombBounds(NamedTuple):
@@ -428,8 +421,9 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
 
 
 def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
-    """Substitute the witness and check the claimed strict order exactly."""
-    if not config.is_ordered():
+    """Substitute the witness, a configuration of the order's own graph, and check
+    the claimed strict order exactly."""
+    if (config.spec.family, config.spec.n) != (order.family, order.n) or not config.is_ordered():
         return False
     vals = config.values
     mags = []

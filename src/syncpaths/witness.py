@@ -27,7 +27,7 @@ from math import lcm, prod
 
 from .codes import KnCode, KnnCode, validate_kn, validate_knn
 from .errors import SyncPathsError
-from .graphs import Configuration, bipartite, complete
+from .graphs import Configuration, bipartite, check_positive, complete
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,8 @@ def witness_kn(code: KnCode, eps) -> Configuration:
     D the product over tree levels of the lcm of their sibling-run lengths.
     """
     forest = forest_decomposition(code)
+    check_positive(eps)
     eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     parent = (0, *code).__getitem__  # 1-based
     # every tier below a root as its sibling runs (parent, kids), grouped once
     runs = {root: [[(p, tuple(kids)) for p, kids in groupby(tier, key=parent)]
@@ -169,9 +168,8 @@ def _block_positions(ranges, lo_row: int, hi_row: int, k: int):
 def witness_knn(code: KnnCode, eps) -> Configuration:
     """Party-ordered configuration whose border-pair encoding is the given code."""
     alpha, omega = validate_knn(code)
+    check_positive(eps)
     eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     n = len(alpha)
     blocks = _blocks(alpha, omega)
     solved = []  # per block: (column ranges, retries k, row offsets)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from syncpaths.flows import (
     laplacian_trajectory_kn,
     laplacian_trajectory_knn,
     order_parameter,
-    rk4_linear_trajectory,
+    rk4_linear_step,
     switching_times_kn,
 )
-from syncpaths.graphs import Configuration, Family, bipartite, complete
+from syncpaths.graphs import Configuration, Family, bipartite, complete, laplacian
 from syncpaths import _kernels
 
 
@@ -25,6 +26,14 @@ def cfg_kn(*values):
 
 def cfg_knn(*values):
     return Configuration(bipartite(len(values) // 2), tuple(values))
+
+
+def rk4_linear(cfg, t, step):
+    """RK4 steps of the linear flow over laplacian(cfg.spec); t / step is whole."""
+    mat, x = laplacian(cfg.spec).astype(np.float64), cfg.as_array()
+    for _ in range(round(t / step)):
+        x = rk4_linear_step(mat, x, step)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +81,7 @@ def test_trajectory_knn_matches_rk4_unbalanced():
     cfg = cfg_knn(0.0, 0.9, 0.2, 1.7)
     for t in (0.2, 0.8):
         closed = laplacian_trajectory_knn(cfg, t).as_array()
-        rk = rk4_linear_trajectory(cfg, t, step=2e-4).as_array()
+        rk = rk4_linear(cfg, t, step=2e-4)
         assert np.max(np.abs(closed - rk)) < 1e-11
 
 
@@ -227,7 +236,7 @@ def test_cross_party_crossing_three():
 def test_rk4_matches_closed_form_tightly():
     cfg = cfg_kn(0.1, 0.4, 0.45, 0.9)
     t = 1.3
-    rk = rk4_linear_trajectory(cfg, t).as_array()
+    rk = rk4_linear(cfg, t, step=1e-3)
     exact = laplacian_trajectory_kn(cfg, t).as_array()
     assert np.max(np.abs(rk - exact)) < 1e-10
 
@@ -640,20 +649,26 @@ def test_params_validation():
         for bad in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
                 KuramotoParams(**{field: bad})
+    # every eps entry meets one check and one message before any work; the
+    # int-valued K_{2,2} takes exact eps through the encoder's integer unit
     from syncpaths.flows import switching_times_knn_balanced
+    from syncpaths.graphs import sync_subnetwork
+    from syncpaths.witness import witness_kn, witness_knn
 
-    k4 = cfg_kn(0.0, 0.003, 0.007, 0.012)
-    for bad in (math.nan, 0.0, -1e-3):
-        with pytest.raises(ValueError, match="^eps must be positive"):
-            switching_times_kn(k4, bad)
-        with pytest.raises(ValueError, match="^eps must be positive"):
-            switching_times_knn_balanced(cfg_knn(0, 4, 1, 3), bad)
-        with pytest.raises(ValueError, match="^eps must be positive"):
-            kuramoto_sequence(k4, KuramotoParams(), bad)
-        with pytest.raises(ValueError, match="^eps must be positive"):
-            encode_kn(k4, bad)
-        with pytest.raises(ValueError, match="^eps must be positive"):
-            encode_knn(cfg_knn(0, 4, 1, 3), bad)
-        with pytest.raises(ValueError, match="^eps must be positive"):
-            cross_party_crossing_times(cfg_knn(0, 4, 1, 3), bad, 1, 1)
+    k4, k22 = cfg_kn(0.0, 0.003, 0.007, 0.012), cfg_knn(0, 4, 1, 3)
+    entries = [
+        lambda e: switching_times_kn(k4, e),
+        lambda e: switching_times_knn_balanced(k22, e),
+        lambda e: kuramoto_sequence(k4, KuramotoParams(), e),
+        lambda e: encode_kn(k4, e),
+        lambda e: encode_knn(k22, e),
+        lambda e: cross_party_crossing_times(k22, e, 1, 1),
+        lambda e: sync_subnetwork(k4, e),
+        lambda e: witness_kn((1, 2, 3), e),
+        lambda e: witness_knn(((1, 2), (1, 2)), e),
+    ]
+    for entry in entries:
+        for bad in (math.nan, math.inf, 0.0, -1.0, 0, -1, Fraction(0), Fraction(-1)):
+            with pytest.raises(ValueError, match=rf"^eps must be finite and > 0, got {bad}$"):
+                entry(bad)
     assert KuramotoParams(sigma=1.0).effective_step(1e-3, 4) == pytest.approx(2.5e-5)

@@ -71,6 +71,14 @@ def test_sync_subnetwork_rejects_bad_eps():
         sync_subnetwork(cfg, float("nan"))
 
 
+def test_party_refuses_other_indices():
+    cfg = Configuration(bipartite(2), (0, 1, 2, 3))
+    assert (cfg.party(1), cfg.party(2)) == ((0, 1), (2, 3))
+    for which in (0, 3, -1):
+        with pytest.raises(ValueError, match="^party must be 1 or 2"):
+            cfg.party(which)
+
+
 def test_sync_subnetwork_never_intra_party():
     cfg = Configuration(bipartite(3), (0.0, 0.1, 0.2, 0.0, 0.1, 0.2))
     edges = sync_subnetwork(cfg, 10)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from syncpaths.errors import NotTypicalError, SyncPathsError
-from syncpaths.graphs import Configuration, Family, complete
+from syncpaths.graphs import Configuration, Family, bipartite, complete
 from syncpaths.realizability import (
     GOLOMB_TABLE,
     ORDERING_LIMIT_KNN,
@@ -45,6 +45,15 @@ def test_feasible_table_row_one():
     assert witness is not None
     assert witness.values == (0, 2, 5, 9)
     assert verify_witness(order, witness)
+
+
+def test_verify_witness_refuses_other_graph():
+    # the K_3 order holds on (0, 1, 3, 7) read as K_4 or as K_{2,2} values,
+    # but a witness must be a configuration of the order's own graph
+    order = IncrementOrder(Family.COMPLETE, 3, ((1, 1), (2, 1)))
+    assert verify_witness(order, Configuration(complete(3), (0, 1, 3)))
+    for spec in (complete(4), bipartite(2)):
+        assert not verify_witness(order, Configuration(spec, (0, 1, 3, 7)))
 
 
 def test_counterexample_infeasible():
@@ -122,7 +131,6 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(realizability, "ProcessPoolExecutor", fake_pool)
     monkeypatch.setattr(realizability.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(realizability, "_count_cache", {})
     assert count_realizable_paths_kn(5, jobs=10**6) == 114
     assert seen == [3]
 
