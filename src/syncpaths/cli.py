@@ -48,9 +48,9 @@ from .realizability import (
 from .verify import report_to_json, run_verify
 from .witness import witness_kn, witness_knn
 
-# the realizable-path search took 1.9-2.5 s serially at n=6 (2026-10-19,
-# 2-core VM, CPython 3.11) and grows steeply with n; above it `count` reports
-# the Golomb reference instead
+# the realizable-path search took 1.4-1.5 s serially at n=6, end to end
+# (2026-10-19, 2-core VM, CPython 3.11), and grows steeply with n; above it
+# `count` reports the Golomb reference instead
 COUNT_SEARCH_MAX_N = 6
 
 

@@ -268,7 +268,10 @@ def order_parameter(config: Configuration) -> OrderParameter | tuple[OrderParame
 
 
 def check_kuramoto_precondition(config: Configuration) -> None:
-    """Phases must stay within pi/4 of their (party) mean for monotone contraction."""
+    """Phases must be finite and stay within pi/4 of their (party) mean for
+    monotone contraction."""
+    if not all(math.isfinite(float(v)) for v in config.values):
+        raise ValueError("phases must be finite")
     bound = math.pi / 4
     for vals in config.groups():
         mean = sum(float(v) for v in vals) / len(vals)

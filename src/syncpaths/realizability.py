@@ -18,6 +18,19 @@ with it; then the LP re-solves warm from the last tableau on the path.
 Counting feasible full orders for the complete graph counts combinatorial
 classes of Golomb rulers; the worker pool splits that search at depth two
 with the same child rule.
+
+Only one member of each symmetry orbit is searched.  A symmetry is a vertex
+map that keeps every magnitude: the reflection x'_i = -x_{n+1-i}, which on
+K_n maps (a, k) to (n+1-a-k, k) and on K_{n,n} maps (r, c, q) to
+(n+1-r, n+1-c, -q), and on K_{n,n} the party swap (r, c, q) -> (c, r, -q).
+It maps the feasible chains of one search onto those of its image, item by
+item, so the image's chains are the representative's renamed by an item
+permutation.  On K_n the first-item branches c > mirror(c) are mirrors of
+searched ones (and count as them); on K_{n,n} every arrangement after the
+first of its orbit, in ``arrangements`` order, reuses that one's chains.
+``_chains`` extends in increasing item order, so it yields its chains in
+lexicographic order, and ``sorted`` puts renamed chains back in exactly the
+order a search of the image would yield them.
 """
 
 from __future__ import annotations
@@ -193,6 +206,17 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     yield from extend(prefix, remaining, _magnitudes(space, gaps), d, lp, len(prefix))
 
 
+def _mapped(chains: Iterable[tuple[int, ...]], perm: Sequence[int]) -> list[tuple[int, ...]]:
+    """The chains with every item renamed by perm, in the search's (lexicographic) order."""
+    return sorted(tuple(perm[i] for i in chain) for chain in chains)
+
+
+def _item_permutation(pairs: Sequence[tuple[int, int]], vertex) -> list[int]:
+    """perm[i] = index of the image of item i, a vertex pair, under the vertex map."""
+    index = {frozenset(p): i for i, p in enumerate(pairs)}
+    return [index[frozenset(map(vertex, p))] for p in pairs]
+
+
 # ---------------------------------------------------------------------------
 # complete graph: orderings, Golomb counting
 # ---------------------------------------------------------------------------
@@ -207,6 +231,11 @@ def _kn_space(n: int) -> tuple[_ChainSpace, list[KnLabel]]:
     return _ChainSpace(windows, n - 1, ()), labels
 
 
+def _kn_mirror(n: int) -> list[int]:
+    """The reflection x'_i = -x_{n+1-i} on kn_labels(n): (a, k) -> (n+1-a-k, k)."""
+    return _item_permutation([(a, a + k) for a, k in kn_labels(n)], lambda v: n + 1 - v)
+
+
 def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     """All feasible strict orders on the pairwise increments, deterministic order."""
     if n < 1:
@@ -214,7 +243,12 @@ def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     if n == 1:
         return [()]
     space, labels = _kn_space(n)
-    return [tuple(labels[i] for i in chain) for chain in _chains(space)]
+    masks, mirror = _containment_masks(space.windows), _kn_mirror(n)
+    branches: dict[int, list[tuple[int, ...]]] = {}
+    for c in _open_items(masks, (1 << len(labels)) - 1):
+        m = mirror[c]
+        branches[c] = list(_chains(space, (c,))) if c <= m else _mapped(branches[m], mirror)
+    return [tuple(labels[i] for i in chain) for chains in branches.values() for chain in chains]
 
 
 def _count_branch(args) -> int:
@@ -223,17 +257,19 @@ def _count_branch(args) -> int:
     return sum(1 for _chain in _chains(space, prefix))
 
 
-# n=7 (107498 classes) is the largest count measured to finish, in 279 s on one
-# core (2026-10-19, 2-core VM, CPython 3.11; the VM's speed varies up to 1.8x);
-# n=8 has 68 times as many classes, so its search runs for hours
+# n=7 (107498 classes) is the largest count measured to finish, in 109 s on one
+# core and 48 s with two (2026-10-19, 2-core VM, CPython 3.11; the VM's speed
+# varies up to 1.8x); n=8 has 68 times as many classes, so its search runs for hours
 COUNT_LIMIT = 7
 
 
 def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
     """Number of feasible full increment orders = number of Golomb-ruler classes.
 
-    jobs worker processes split the search (default os.cpu_count()); the pool
-    never starts more than os.cpu_count(), since every worker is forked at once.
+    Only the branches whose first item c has c <= mirror(c) are searched; a
+    branch with a distinct mirror counts twice.  jobs worker processes split
+    the search (default os.cpu_count()); the pool never starts more than
+    os.cpu_count(), since every worker is forked at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -243,19 +279,20 @@ def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
         return 1
     cpus = os.cpu_count() or 1
     jobs = cpus if jobs is None else min(jobs, cpus)
-    if jobs <= 1 or n <= 4:
-        return _count_branch((n, ()))
-    # split the search at depth two; workers feasibility-check their prefix
     space, _ = _kn_space(n)
-    masks = _containment_masks(space.windows)
+    masks, mirror = _containment_masks(space.windows), _kn_mirror(n)
     full = (1 << len(masks)) - 1
-    prefixes = [
-        (n, (c1, c2))
-        for c1 in _open_items(masks, full)
-        for c2 in _open_items(masks, full & ~(1 << c1))
-    ]
+    firsts = [(c, 1 if c == mirror[c] else 2) for c in _open_items(masks, full) if c <= mirror[c]]
+    if jobs <= 1 or n <= 4:
+        return sum(w * _count_branch((n, (c,))) for c, w in firsts)
+    # split the search at depth two; workers feasibility-check their prefix
+    prefixes, weights = [], []
+    for c1, w in firsts:
+        for c2 in _open_items(masks, full & ~(1 << c1)):
+            prefixes.append((n, (c1, c2)))
+            weights.append(w)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_branch, prefixes))
+        return sum(w * k for w, k in zip(weights, pool.map(_count_branch, prefixes)))
 
 
 class GolombBounds(NamedTuple):
@@ -319,9 +356,33 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
     return _ChainSpace(tuple(windows), 2 * n - 1, eq_rows), labels
 
 
+def _knn_symmetries(n: int):
+    """(arrangement map, item permutation) of the party swap, of the reflection
+    x' = -x with each party relabelled in reverse, and of their product.
+
+    Each is an involution on the vertices that keeps every magnitude, so it
+    maps the feasible chains of an arrangement onto those of its image; the
+    items are the (row, col) pairs in ``_knn_space`` order.
+    """
+    def swap(v):
+        return v - n if v > n else v + n
+
+    def reflect(v):
+        return 3 * n + 1 - v if v > n else n + 1 - v
+
+    def arrangement_map(vertex, reverse):
+        return lambda arr: tuple(map(vertex, reversed(arr) if reverse else arr))
+
+    pairs = [(row, n + col) for row in range(1, n + 1) for col in range(1, n + 1)]
+    return [
+        (arrangement_map(vertex, reverse), _item_permutation(pairs, vertex))
+        for vertex, reverse in ((swap, False), (reflect, True), (lambda v: swap(reflect(v)), True))
+    ]
+
+
 # `count --family knn` reports orderings up to here: n=3 (20 interleavings of
-# 9 magnitudes) took 0.8-1.2 s end to end (2026-10-19, 2 cores, CPython 3.11),
-# and n=4 has 70 interleavings of 16 magnitudes
+# 9 magnitudes, 7 of them searched) took 0.33-0.34 s end to end (2026-10-19,
+# 2 cores, CPython 3.11), and n=4 has 70 interleavings of 16 magnitudes
 ORDERING_LIMIT_KNN = 3
 
 
@@ -343,10 +404,19 @@ def enumerate_realizable_orderings_knn(
         raise SizeGuardError(
             f"bipartite ordering enumeration is guarded to n <= {ORDERING_LIMIT_KNN}"
         )
+    symmetries = _knn_symmetries(n)
+    solved: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     out: list[tuple[tuple[int, ...], tuple[KnnLabel, ...]]] = []
     for arr in arrangements(n):
         space, labels = _knn_space(n, arr, balanced)
-        out.extend((arr, tuple(labels[i] for i in chain)) for chain in _chains(space))
+        # the first arrangement of its orbit is searched; the others rename its chains
+        for arrange, perm in symmetries:
+            if (image := arrange(arr)) in solved:
+                chains = _mapped(solved[image], perm)
+                break
+        else:
+            chains = solved[arr] = list(_chains(space))
+        out.extend((arr, tuple(labels[i] for i in chain)) for chain in chains)
     return out
 
 

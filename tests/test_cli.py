@@ -428,9 +428,11 @@ CLI_CORPUS = [
     ("diagram --family knn --n 2 --format json", 0, "03261f2fbb32f7d9", "faff5c2ca7d4f2e4"),
     ("diagram --family kn --n 14", 3, "e3b0c44298fc1c14", "042e16c0f09242eb"),
     ("count --family kn --n 4 --jobs 1 --format json", 0, "c519e964d425cf10", "e3b0c44298fc1c14"),
+    ("count --family kn --n 5 --jobs 2", 0, "8c90a600cd97f06e", "e3b0c44298fc1c14"),
     ("count --family kn --n 7 --jobs 1", 0, "4597daad6791ba59", "e3b0c44298fc1c14"),
     ("count --family knn --n 2 --jobs 1", 0, "a3d72748c0c1eaf6", "e3b0c44298fc1c14"),
     ("count --family knn --n 1 --jobs 1", 0, "27f8296ded384c3d", "e3b0c44298fc1c14"),
+    ("count --family knn --n 3 --balanced --jobs 1 --format json", 0, "e62f987b9d85fb55", "e3b0c44298fc1c14"),
     ("count --family knn --n 7 --jobs 1", 3, "e3b0c44298fc1c14", "2a538a697d763e00"),
     ("dist --family kn --n 4", 0, "ab9a81e23db7ef74", "e3b0c44298fc1c14"),
     ("dist --family knn --n 2 --format json", 0, "2d0f994d1db015b1", "e3b0c44298fc1c14"),

@@ -672,3 +672,16 @@ def test_params_validation():
             with pytest.raises(ValueError, match=rf"^eps must be finite and > 0, got {bad}$"):
                 entry(bad)
     assert KuramotoParams(sigma=1.0).effective_step(1e-3, 4) == pytest.approx(2.5e-5)
+
+
+def test_kuramoto_refuses_non_finite_positions():
+    # a one-vertex group counts as sorted and within pi/4 of its own mean, so
+    # without the finiteness check a NaN reached int(ceil(nan)) in the
+    # kernel, an inf an "horizon inf" size guard, and K_1 at inf a sequence
+    for config in (
+        Configuration(bipartite(1), (math.nan, 0.0)),
+        Configuration(bipartite(1), (math.inf, 0.0)),
+        Configuration(complete(1), (math.inf,)),
+    ):
+        with pytest.raises(ValueError, match="^phases must be finite$"):
+            kuramoto_sequence(config, KuramotoParams(), 1e-3)

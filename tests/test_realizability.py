@@ -138,19 +138,21 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
 @pytest.mark.parametrize(
     "enumerate_rows, work",
     [
-        (lambda: enumerate_realizable_orderings_kn(4), (20, 93, 25)),
-        (lambda: enumerate_realizable_orderings_kn(5), (431, 5097, 392)),
-        (lambda: enumerate_realizable_orderings_knn(2), (28, 82, 40)),
-        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (10, 18, 6)),
-        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (1314, 17190, 1278)),
+        (lambda: enumerate_realizable_orderings_kn(4), (16, 78, 19)),
+        (lambda: enumerate_realizable_orderings_kn(5), (218, 2690, 191)),
+        (lambda: enumerate_realizable_orderings_knn(2), (14, 41, 20)),
+        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (5, 9, 3)),
+        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (379, 4911, 394)),
+        (lambda: count_realizable_paths_kn(5, jobs=1), (218, 2690, 191)),
     ],
-    ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced"],
+    ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced", "count-kn5-serial"],
 )
 def test_lp_call_counts_are_pinned(enumerate_rows, work, monkeypatch):
     # (solves, rows in the tableau at each solve, pivots), summed over the
     # search: an extra root LP or a weaker witness-reuse test shows up as more
     # solves, an implied tail row as more rows, a lost warm start as more
-    # pivots; the pivots are read off each tableau's own count
+    # pivots, a mirrored branch or arrangement searched again as all three;
+    # the pivots are read off each tableau's own count
     from syncpaths import ratlp
 
     solve = ratlp.Tableau.solve
@@ -185,6 +187,34 @@ def test_enumeration_order_is_pinned(enumerate_rows, digest):
     # the lists as returned, not sorted: the search's depth-first item order
     # is part of the "deterministic order" the enumerators promise
     assert _sha256_json(enumerate_rows()) == digest
+
+
+def test_orbit_reuse_matches_the_full_search():
+    # oracle without symmetry: the plain search over the whole K_n tree and
+    # over every arrangement must give the enumerators' lists, order included
+    from syncpaths.realizability import _chains, _kn_space, _knn_space
+
+    for n in range(1, 6):
+        space, labels = _kn_space(n)
+        full = [tuple(labels[i] for i in chain) for chain in _chains(space)]
+        assert enumerate_realizable_orderings_kn(n) == full, n
+    for n in (1, 2, 3):
+        for balanced in (False, True):
+            full = []
+            for arr in arrangements(n):
+                space, labels = _knn_space(n, arr, balanced)
+                full.extend((arr, tuple(labels[i] for i in chain)) for chain in _chains(space))
+            assert enumerate_realizable_orderings_knn(n, balanced) == full, (n, balanced)
+    # every Golomb n=5 branch counted on its own: first gap a and its mirror
+    # 5 - a count the same, and the four add up to the class count
+    space, labels = _kn_space(5)
+    per_gap = {
+        a: sum(1 for _chain in _chains(space, (c,)))
+        for c, (a, k) in enumerate(labels) if k == 1
+    }
+    assert per_gap == {1: 22, 2: 35, 3: 35, 4: 22}
+    assert all(per_gap[a] == per_gap[5 - a] for a in per_gap)
+    assert sum(per_gap.values()) == GOLOMB_TABLE[5]
 
 
 def test_kn4_orderings_match_reference():
