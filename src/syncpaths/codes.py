@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import le
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCodeError, NotTypicalError
@@ -36,7 +37,7 @@ KnCode = tuple[int, ...]
 KnnCode = tuple[tuple[int, ...], tuple[int, ...]]
 Code = KnCode | KnnCode
 Move = tuple[int, int, Code, Edge]  # (site, sign, new code, added edge); sign 0 for K_n
-_RATIONAL = (int, Fraction)  # input of exactly these types is swept in integer units
+_RATIONAL = {int, Fraction}  # input of exactly these types is swept in integer units
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,8 @@ def validate_kn(code: Sequence[int]) -> KnCode:
     n = len(code)
     if n < 1:
         raise InvalidCodeError("empty code")
+    if {*map(type, code)} != {int}:
+        raise InvalidCodeError(f"code entries must be ints: {code}")
     for i, v in enumerate(code, start=1):
         if not (i <= v <= n):
             raise InvalidCodeError(f"entry {i} out of range: {v}")
@@ -57,13 +60,17 @@ def validate_kn(code: Sequence[int]) -> KnCode:
 
 
 def validate_knn(code: tuple[Sequence[int], Sequence[int]]) -> KnnCode:
+    if len(code) != 2:
+        raise InvalidCodeError("a bipartite code is exactly two border vectors")
     alpha, omega = tuple(code[0]), tuple(code[1])
     n = len(alpha)
     if n < 1 or len(omega) != n:
         raise InvalidCodeError("border vectors must be nonempty and equal-length")
-    if any(not (1 <= a <= n + 1) for a in alpha):
+    if {*map(type, alpha), *map(type, omega)} != {int}:
+        raise InvalidCodeError(f"border entries must be ints: {alpha}, {omega}")
+    if min(alpha) < 1 or max(alpha) > n + 1:
         raise InvalidCodeError(f"alpha out of range: {alpha}")
-    if any(not (0 <= w <= n) for w in omega):
+    if min(omega) < 0 or max(omega) > n:
         raise InvalidCodeError(f"omega out of range: {omega}")
     if list(alpha) != sorted(alpha) or list(omega) != sorted(omega):
         raise InvalidCodeError(f"borders not nondecreasing: {alpha}, {omega}")
@@ -94,14 +101,15 @@ def parse_code_text(text: str, family: Family) -> KnCode | KnnCode:
 
 def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, object]:
     """config.groups() and eps, checked sorted and by ``check_positive``;
-    all-rational input as ints in units of 1/lcm."""
-    groups, unit = config.groups(), eps
-    if type(eps) in _RATIONAL and all(type(v) in _RATIONAL for v in config.values):
-        scale = math.lcm(eps.denominator, *(v.denominator for v in config.values))
-        unit = eps.numerator * (scale // eps.denominator)
-        groups = [[v.numerator * (scale // v.denominator) for v in g] for g in groups]
+    all-rational input as ints in units of 1/lcm, scaled in one list."""
+    values, unit, n = config.values, eps, config.spec.n
+    if {type(eps), *map(type, values)} <= _RATIONAL:
+        ratios = [v.as_integer_ratio() for v in (eps, *values)]
+        scale = math.lcm(*[q for _, q in ratios])
+        unit, *values = [p * (scale // q) for p, q in ratios]
     check_positive(eps, unit=unit)
-    if not all(a <= b for g in groups for a, b in zip(g, g[1:])):
+    groups = [values[i:i + n] for i in range(0, len(values), n)]  # one group per party
+    if not all(all(map(le, g, g[1:])) for g in groups):
         raise ValueError(unsorted)
     return groups, unit
 
@@ -138,21 +146,14 @@ def enumerate_phi_n(n: int) -> list[KnCode]:
     """All reach vectors for party size n, lexicographically sorted."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out: list[KnCode] = []
-
-    def extend(prefix: list[int]) -> None:
-        i = len(prefix)
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        lo = max(i + 1, prefix[-1] if prefix else 1)
-        for v in range(lo, n + 1):
-            prefix.append(v)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return out
+    code, out = list(range(1, n + 1)), []
+    while True:
+        out.append(tuple(code))
+        j = code.index(n) - 1  # the last entry below n, which the next code bumps
+        if j < 0:
+            return out
+        v = code[j] + 1  # then the least tail: entry i (1-based) becomes max(i, v)
+        code[j:] = [v] * (v - 1 - j) + [*range(v, n + 1)]
 
 
 def catalan(n: int) -> int:
@@ -160,7 +161,7 @@ def catalan(n: int) -> int:
 
 
 def _kn_level(code: KnCode) -> int:
-    return sum(v - i for i, v in enumerate(code, start=1))
+    return sum(code) - len(code) * (len(code) + 1) // 2
 
 
 def dyck_area(code: KnCode) -> int:
@@ -236,8 +237,8 @@ def narayana_count(n: int) -> int:
 
 
 def _knn_level(code: KnnCode) -> int:
-    alpha, omega = code
-    return sum(w - a + 1 for a, w in zip(alpha, omega) if w >= a)
+    alpha, omega = code  # every row's w - a + 1 is >= 0, as alpha <= omega + 1
+    return sum(omega) - sum(alpha) + len(alpha)
 
 
 def _knn_moves(code: KnnCode, sites: Iterable[int]) -> list[Move]:
@@ -270,6 +271,8 @@ def start_codes_knn(n: int) -> list[tuple[KnnCode, bool]]:
     The two flagged codes encode party layouts whose party means are forced
     apart (one party entirely below the other).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     flagged = {(1,) * n, (n + 1,) * n}
     return [
         ((alpha, tuple(a - 1 for a in alpha)), alpha in flagged)
@@ -330,7 +333,9 @@ class CodeFamily(NamedTuple):
 
     encode: Callable[[Configuration, object], Code]
     text: Callable[[Code], str]
-    level: Callable[[Code], int]  # decoded edge count; the code is not validated
+    # decoded edge count, in closed form; the code is not validated, and the
+    # bipartite form is exact only where alpha <= omega + 1 (every valid code)
+    level: Callable[[Code], int]
     moves: Callable[[Code, Iterable[int]], list[Move]]  # the moves at the sites; not validated
     codes: Callable[[int], list[Code]]  # every code for party size n
     count: Callable[[int], int]  # len(codes(n)), in closed form

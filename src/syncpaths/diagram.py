@@ -54,12 +54,12 @@ class TransitionDiagram:
     def _path_counts(self) -> dict:
         """Paths to the sink from every vertex; one DP, kept with this diagram."""
         outgoing: dict = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            outgoing[a.source].append(a.target)
+        for source, target, _, _ in self.arrows:
+            outgoing[source].append(target)
         paths = {self.sink: 1}
-        for v in sorted(self.vertices, key=self.level, reverse=True):
+        for v in sorted(self.vertices, key=CODES[self.spec.family].level, reverse=True):
             if v != self.sink:
-                paths[v] = sum(paths[w] for w in outgoing[v])
+                paths[v] = sum(map(paths.__getitem__, outgoing[v]))
         return paths
 
 
@@ -75,11 +75,9 @@ def build_diagram(spec: GraphSpec) -> TransitionDiagram:
     """Materialize the full diagram for the family (guarded by code count)."""
     guarded_code_count(spec)
     family = CODES[spec.family]
-    vertices = tuple(family.codes(spec.n))
+    vertices, sites = tuple(family.codes(spec.n)), range(1, spec.n + 1)
     arrows = tuple(
-        Arrow(v, tgt, site, sign)
-        for v in vertices
-        for site, sign, tgt, _ in family.moves(v, range(1, spec.n + 1))
+        Arrow(v, tgt, site, sign) for v in vertices for site, sign, tgt, _ in family.moves(v, sites)
     )
     starts = tuple(family.starts(spec.n))
     return TransitionDiagram(spec, vertices, arrows, starts, family.sink(spec.n))

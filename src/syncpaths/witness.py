@@ -1,11 +1,15 @@
 """Constructive inverses of the encodings: configurations realizing a code.
 
 Complete family: vertex k points at its reach code[k-1] >= k, so the code
-is a forest of directed trees rooted at its fixed points.  One sweep from
-k = n down to 1 gives every vertex its root and depth from its parent's.
-Each tree hangs below its root on an eps-ladder with sub-eps offsets, and
-consecutive roots are spaced far enough for the next tree's deepest vertex
-to clear the previous root.
+is a forest of directed trees rooted at its fixed points.  As the code is
+nondecreasing, a tree is the index interval (previous root, root], each of
+its tiers is a contiguous index range (deeper tiers at lower indices), and
+the kids of one parent are a contiguous run of their tier.  One sweep from
+k = n down to 1 gives every vertex its depth and every parent its number of
+kids; a second places every vertex after its parent and its right
+neighbour, with no sorting or grouping.  Each tree hangs below its root on
+an eps-ladder with sub-eps offsets, and consecutive roots are spaced far
+enough for the next tree's deepest vertex to clear the previous root.
 
 Bipartite family: rows are partitioned into maximal blocks of consecutively
 overlapping column intervals, blocks are spaced 3*eps apart, and inside a
@@ -22,8 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from math import lcm, prod
+from math import prod
 
 from .codes import KnCode, KnnCode, validate_kn, validate_knn
 from .errors import SyncPathsError
@@ -42,20 +45,28 @@ class WitnessForest:
         return len(self.levels[root]) - 1
 
 
+def _depths_and_kids(code: KnCode) -> tuple[list[int], list[int]]:
+    """Every vertex's depth below its root and every parent's number of kids
+    (1-based), from one sweep down from k = n: a parent's index is higher."""
+    depth, kids = [0] * (len(code) + 1), [0] * (len(code) + 1)
+    for k in range(len(code), 0, -1):
+        p = code[k - 1]
+        if p != k:
+            depth[k] = depth[p] + 1
+            kids[p] += 1
+    return depth, kids
+
+
 def forest_decomposition(code: KnCode) -> WitnessForest:
     code = validate_kn(code)
-    n = len(code)
-    place = [(0, 0)] * (n + 1)  # 1-based (root, depth)
-    for k in range(n, 0, -1):
-        parent = code[k - 1]
-        root, depth = place[parent]
-        place[k] = (k, 0) if parent == k else (root, depth + 1)
-    # a stable sort keeps each tier in increasing index, the BFS order
-    vertices = sorted(range(1, n + 1), key=place.__getitem__)
-    levels: dict[int, list[tuple[int, ...]]] = {}
-    for (root, _depth), tier in groupby(vertices, key=place.__getitem__):
-        levels.setdefault(root, []).append(tuple(tier))
-    return WitnessForest(tuple(levels), {r: tuple(t) for r, t in levels.items()})
+    depth, _ = _depths_and_kids(code)
+    roots = tuple(k for k, p in enumerate(code, start=1) if p == k)
+    # the tree of a root is (previous root, root], its tiers contiguous and deepest first
+    return WitnessForest(roots, {
+        r: tuple(tuple(v for v in range(lo + 1, r + 1) if depth[v] == d)
+                 for d in range(depth[lo + 1] + 1))
+        for lo, r in zip((0, *roots), roots)
+    })
 
 
 def witness_kn(code: KnCode, eps) -> Configuration:
@@ -66,36 +77,35 @@ def witness_kn(code: KnCode, eps) -> Configuration:
     lowest vertex clears that root by more than eps.  A vertex of tree level
     l sits at its root - l*eps plus a sub-eps offset.  The kids of a parent
     are a contiguous run of their tier (the code is nondecreasing) and share
-    out evenly the offsets from their parent's up to the next parent's in
+    out evenly the offsets from their parent's up to the next vertex's in
     the tier (or up to eps), so that each kid's linked range in the level
-    above ends exactly at its parent.  Coordinates count units of eps/D,
-    D the product over tree levels of the lcm of their sibling-run lengths.
+    above ends exactly at its parent.  Coordinates count units of eps/D, D
+    the product of the sibling-run lengths, so every share divides exactly.
     """
-    forest = forest_decomposition(code)
+    code = validate_kn(code)
     check_positive(eps)
     eps = Fraction(eps)
-    parent = (0, *code).__getitem__  # 1-based
-    # every tier below a root as its sibling runs (parent, kids), grouped once
-    runs = {root: [[(p, tuple(kids)) for p, kids in groupby(tier, key=parent)]
-                   for tier in tiers[1:]]
-            for root, tiers in forest.levels.items()}
-    unit = prod(lcm(*(len(kids) for _, kids in tier))
-                for tiers in runs.values() for tier in tiers)  # eps in units
-    x = [0] * (len(code) + 1)  # 1-based
-    anchor = -2 * unit  # so that the first root sits at its tree's height * eps
-    for root in forest.roots:
-        anchor += (forest.height(root) + 2) * unit
-        x[root] = anchor
-        for l, (parents, tier) in enumerate(zip(forest.levels[root], runs[root])):
-            following = dict(zip(parents, parents[1:]))
-            for p, kids in tier:
-                # the last parent of a tier shares out offsets up to eps
-                upper = x[following[p]] if p in following else anchor - (l - 1) * unit
-                share = (upper - x[p]) // len(kids)
-                for i, v in enumerate(kids):
-                    x[v] = x[p] - unit + i * share
+    n = len(code)
+    depth, kids = _depths_and_kids(code)
+    unit = prod(filter(None, kids))  # eps in units
+    x = [0] * (n + 1)
+    anchor = 0  # the current tree's root, placed from the last tree down
+    for k in range(n, 0, -1):
+        p = code[k - 1]
+        if p == k:
+            if k < n:
+                anchor -= (depth[k + 1] + 2) * unit  # below the tree (k, next root]
+            x[k] = anchor
+        elif code[k] == p != k + 1:  # the kid above is a sibling
+            x[k] = x[k + 1] - share
+        else:  # the top kid of p: its run shares out p's offsets up to upper
+            same_tier = code[p - 1] != p and depth[p + 1] == depth[p]
+            upper = x[p + 1] if same_tier else anchor - (depth[p] - 1) * unit
+            share = (upper - x[p]) // kids[p]
+            x[k] = upper - unit - share
+    shift = depth[1] * unit - anchor  # the first root sits at its tree's height * eps
     num, den = eps.numerator, unit * eps.denominator
-    return Configuration(complete(len(code)), tuple(Fraction(v * num, den) for v in x[1:]))
+    return Configuration(complete(n), tuple([Fraction((v + shift) * num, den) for v in x[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,42 +125,31 @@ def _blocks(alpha, omega) -> list[tuple[int, int]]:
     return list(zip([1] + [end + 1 for end in ends[:-1]], ends))
 
 
-def _column_ranges(alpha, omega, lo_row: int, hi_row: int):
-    """Covered columns of a block, ascending, with their row ranges [s, r].
-
-    The row intervals chain and both borders rise, so column m is covered by
-    the rows from the first with omega >= m to the last with alpha <= m;
-    rows of other blocks never match, as block intervals do not meet.
-    """
-    return {
-        m: (bisect_left(omega, m) + 1, bisect_right(alpha, m))
-        for m in range(alpha[lo_row - 1], omega[hi_row - 1] + 1)
-    }
-
-
-def _block_positions(ranges, lo_row: int, hi_row: int, k: int):
+def _block_positions(spans, lo: int, hi: int, k: int):
     """First-party offsets of a block in units u = eps/2**(3+k), or None if margin 2u is too large.
 
+    spans[j] = (s, r): the rows s..r covering the block's j-th column.
     Difference constraints: rows are nondecreasing with a strict bump at
     every column boundary; rows sandwiching a column lie at least
     2*eps + margin apart; rows sharing a column lie at most 2*eps apart.
     Solved as a longest-path problem (Bellman-Ford); a positive cycle means
     the strict margins do not fit and the caller retries smaller.
     """
-    size = hi_row - lo_row + 1
+    size = hi - lo + 1
     margin, two_eps = 2, 1 << (4 + k)
     edges: list[tuple[int, int, int]] = []  # p[v] >= p[u] + w
     bumps = [0] * size
-    for m, (s, r) in ranges.items():
-        if s > lo_row:
-            bumps[s - lo_row] = margin
-        if r < hi_row:
-            bumps[r + 1 - lo_row] = margin
-            if s > lo_row:
-                edges.append((s - 1 - lo_row, r + 1 - lo_row, two_eps + margin))
-        edges.append((r - lo_row, s - lo_row, -two_eps))
-    for i in range(1, size):
-        edges.append((i - 1, i, bumps[i]))
+    for s, r in dict.fromkeys(spans):  # equal spans give equal edges
+        s, r = s - lo, r - lo
+        if s > 0:
+            bumps[s] = margin
+        if r < size - 1:
+            bumps[r + 1] = margin
+            if s > 0:
+                edges.append((s - 1, r + 1, two_eps + margin))
+        if s < r:  # s == r would be a loop of negative weight, never binding
+            edges.append((r, s, -two_eps))
+    edges += [(i - 1, i, bumps[i]) for i in range(1, size)]
 
     pos = [0] * size
     for _sweep in range(size + 1):
@@ -160,64 +159,63 @@ def _block_positions(ranges, lo_row: int, hi_row: int, k: int):
                 pos[v] = pos[u] + w
                 changed = True
         if not changed:
-            shift = min(pos)
+            shift = pos[0]  # the least entry, as every row lies at or above the one before
             return [p - shift for p in pos]
     return None  # positive cycle: margins too large for this block
 
 
 def witness_knn(code: KnnCode, eps) -> Configuration:
-    """Party-ordered configuration whose border-pair encoding is the given code."""
+    """Party-ordered configuration whose border-pair encoding is the given code.
+
+    One pass over the blocks reads each block's column spans off the
+    borders and solves its offsets; a second places the rows, then the
+    columns, block by block, and the columns no row covers in between.
+    """
     alpha, omega = validate_knn(code)
     check_positive(eps)
     eps = Fraction(eps)
     n = len(alpha)
-    blocks = _blocks(alpha, omega)
-    solved = []  # per block: (column ranges, retries k, row offsets)
-    for lo_row, hi_row in blocks:
-        ranges = _column_ranges(alpha, omega, lo_row, hi_row)
-        k = 0
-        while (pos := _block_positions(ranges, lo_row, hi_row, k)) is None:
-            k += 1
-            if k > 60:
-                raise SyncPathsError(f"no feasible ladder for block {lo_row}..{hi_row}")
-        solved.append((ranges, k, pos))
+    solved, top = [], 0  # per block: (rows lo..hi, retries k, row offsets, column spans)
+    for lo, hi in _blocks(alpha, omega):
+        k, pos, spans = 0, [0], None  # a single row has nothing to solve
+        if lo < hi:
+            # the borders rise, so column m is covered by the rows from the first
+            # with omega >= m to the last with alpha <= m, all inside this block
+            spans = [(bisect_left(omega, m) + 1, bisect_right(alpha, m))
+                     for m in range(alpha[lo - 1], omega[hi - 1] + 1)]
+            while (pos := _block_positions(spans, lo, hi, k)) is None:
+                k += 1
+                if k > 60:
+                    raise SyncPathsError(f"no feasible ladder for block {lo}..{hi}")
+            top = max(top, k)
+        solved.append((lo, hi, k, pos, spans))
     # every block is placed in the finest unit, eps/2**(3+k) for the largest k
-    top = max(k for _, k, _ in solved)
     unit = 1 << (3 + top)  # eps in units
 
-    x = [0] * (n + 1)   # first party, 1-based
-    y: list[int | None] = [None] * (n + 1)  # second party by column, 1-based
-    base = 0
-    for (lo_row, hi_row), (ranges, k, pos) in zip(blocks, solved):
+    x, y = [0] * (n + 1), [0] * (n + 1)  # first party by row, second by column; 1-based
+    base, col = 0, 1  # col: the first column not yet placed
+    for lo, hi, k, pos, spans in solved:
         half = 1 << (top - k)  # half this block's margin: its own unit
-        for row in range(lo_row, hi_row + 1):
-            x[row] = base + pos[row - lo_row] * half
-        base = x[hi_row] + 3 * unit
-        # each column's window reads only this block's rows
-        prev = None
-        for m, (s, r) in ranges.items():
-            # the columns of a single row sit exactly on the row
-            lower = x[r] - unit if lo_row < hi_row else x[r]
-            if s > lo_row:
+        x[lo:hi + 1] = [base + p * half for p in pos]
+        base = x[hi] + 3 * unit
+        first = alpha[lo - 1]
+        y[col:first] = [x[lo] - 3 * unit // 2] * (first - col)  # uncovered: 3*eps/2 below
+        col = omega[hi - 1] + 1  # past the block's columns first..col-1
+        if spans is None:  # the columns of a single row sit exactly on the row
+            y[first:col] = [x[lo]] * (col - first)
+            continue
+        prev = x[lo] - unit  # each column's window reads only this block's rows
+        for m, (s, r) in enumerate(spans, first):
+            lower = max(x[r] - unit, prev)
+            if s > lo:
                 lower = max(lower, x[s - 1] + unit + half)
-            if prev is not None:
-                lower = max(lower, prev)
             upper = x[s] + unit
-            if r < hi_row:
+            if r < hi:
                 upper = min(upper, x[r + 1] - unit - half)
             if lower > upper:
                 raise SyncPathsError(f"empty window for column {m}")
             y[m] = prev = lower
-
-    # columns covered by no row: 3*eps/2 beyond the nearest block
-    for m in range(1, n + 1):
-        if y[m] is not None:
-            continue
-        above = next((lo for lo, _hi in blocks if alpha[lo - 1] > m), None)
-        if above is not None:
-            y[m] = x[above] - 3 * unit // 2
-        else:
-            y[m] = x[blocks[-1][1]] + 3 * unit // 2
+    y[col:] = [x[n] + 3 * unit // 2] * (n + 1 - col)  # uncovered: 3*eps/2 above the last block
 
     num, den = eps.numerator, unit * eps.denominator
-    return Configuration(bipartite(n), tuple(Fraction(v * num, den) for v in x[1:] + y[1:]))
+    return Configuration(bipartite(n), tuple([Fraction(v * num, den) for v in x[1:] + y[1:]]))

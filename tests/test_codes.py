@@ -61,6 +61,56 @@ def test_code_validation():
         validate_knn(((3, 3), (1, 1)))  # alpha > omega + 1
 
 
+@pytest.mark.parametrize(
+    "validate, code",
+    [
+        (validate_kn, (1.0, 2.0)),
+        (validate_kn, (True, 2)),
+        (validate_kn, (1.5, 2)),
+        (validate_kn, (np.int64(1), 2)),
+        (validate_kn, ("1", 2)),
+        (validate_knn, ((1.0, 2), (1, 2))),
+        (validate_knn, ((1, 2), (1, True))),
+        (validate_knn, ((1, 2),)),
+        (validate_knn, ((1, 2), (1, 2), (9, 9))),
+    ],
+    ids=["kn-floats", "kn-bool", "kn-fraction-valued", "kn-numpy-int", "kn-str",
+         "knn-float", "knn-bool", "knn-one-vector", "knn-three-vectors"],
+)
+def test_code_validation_refuses_non_int_entries_and_extra_vectors(validate, code):
+    with pytest.raises(InvalidCodeError):
+        validate(code)
+
+
+def test_closed_form_levels_count_decoded_edges():
+    for family, decode, sizes in (
+        (Family.COMPLETE, decode_kn, range(1, 9)),
+        (Family.BIPARTITE, decode_knn, range(1, 5)),
+    ):
+        record = CODES[family]
+        for n in sizes:
+            for code in record.codes(n):
+                assert record.level(code) == len(decode(code))
+
+
+def _phi_n_recursive(n):
+    """The reach vectors by their recursive definition: entry i ranges over max(i, previous)..n."""
+    def extend(prefix):
+        i = len(prefix)
+        if i == n:
+            yield tuple(prefix)
+            return
+        for v in range(max(i + 1, prefix[-1] if prefix else 1), n + 1):
+            yield from extend(prefix + [v])
+
+    return list(extend([]))
+
+
+def test_enumerate_phi_n_matches_recursive_definition():
+    for n in range(1, 9):
+        assert enumerate_phi_n(n) == _phi_n_recursive(n)
+
+
 def test_enumerate_phi_n():
     assert enumerate_phi_n(1) == [(1,)]
     assert len(enumerate_phi_n(3)) == 5

@@ -172,6 +172,9 @@ def test_start_codes_knn():
     assert flagged == {((1, 1), (0, 0)), ((3, 3), (2, 2))}
     n1 = start_codes_knn(1)
     assert len(n1) == 2 and all(f for _, f in n1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            start_codes_knn(n)
 
 
 def test_level_sizes_match_distributions():

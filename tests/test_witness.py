@@ -172,6 +172,13 @@ def test_witness_knn_scaling():
         assert all(x * 50 == y for x, y in zip(a, b))
 
 
+def test_witness_refuses_non_int_codes():
+    with pytest.raises(InvalidCodeError):
+        witness_kn((1.5, 2), 1)
+    with pytest.raises(InvalidCodeError):
+        witness_knn(((1, 2), (1, 2), (9, 9)), 1)
+
+
 def test_witness_rejects_bad_eps():
     with pytest.raises(ValueError):
         witness_kn((1, 2), 0)
