@@ -1,8 +1,9 @@
 """Transition diagrams: all codes as vertices, single-edge-addition arrows.
 
 Vertices are deduplicated codes; level(code) = number of decoded edges, and
-every arrow goes level k -> k+1.  Path counting is exact big-integer dynamic
-programming in reverse topological (level) order.
+every arrow goes level k -> k+1.  ``build_diagram`` orders both once, by level;
+path counting is exact big-integer dynamic programming that reads the arrows
+backwards, one source at a time, so every target is counted before its sources.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .codes import CODES, Code
-from .codes import start_codes_knn, successors_kn  # noqa: F401  (still importable from here)
+from .codes import start_codes_knn, successors_kn  # noqa: F401  (perfbench calls them via diagram)
 from .errors import SizeGuardError
 from .graphs import GraphSpec
 
@@ -32,6 +35,10 @@ class Arrow(NamedTuple):
 
 @dataclass(frozen=True)
 class TransitionDiagram:
+    """Made only by ``build_diagram``: vertices by level (stable, so lexicographic
+    within a level), arrows source by source in that order.  Each source's arrows
+    are contiguous and sources come in nondecreasing level."""
+
     spec: GraphSpec
     vertices: tuple
     arrows: tuple[Arrow, ...]
@@ -52,14 +59,12 @@ class TransitionDiagram:
 
     @cached_property
     def _path_counts(self) -> dict:
-        """Paths to the sink from every vertex; one DP, kept with this diagram."""
-        outgoing: dict = {v: [] for v in self.vertices}
-        for source, target, _, _ in self.arrows:
-            outgoing[source].append(target)
+        """Paths to the sink from every vertex; one DP, kept with this diagram.
+        The arrows read backwards, one source at a time: a target is one level
+        up, so its count is final before any of its sources is reached."""
         paths = {self.sink: 1}
-        for v in sorted(self.vertices, key=CODES[self.spec.family].level, reverse=True):
-            if v != self.sink:
-                paths[v] = sum(map(paths.__getitem__, outgoing[v]))
+        for source, group in groupby(reversed(self.arrows), key=itemgetter(0)):
+            paths[source] = sum(map(paths.__getitem__, map(itemgetter(1), group)))
         return paths
 
 
@@ -75,7 +80,8 @@ def build_diagram(spec: GraphSpec) -> TransitionDiagram:
     """Materialize the full diagram for the family (guarded by code count)."""
     guarded_code_count(spec)
     family = CODES[spec.family]
-    vertices, sites = tuple(family.codes(spec.n)), range(1, spec.n + 1)
+    vertices = tuple(sorted(family.codes(spec.n), key=family.level))
+    sites = range(1, spec.n + 1)
     arrows = tuple(
         Arrow(v, tgt, site, sign) for v in vertices for site, sign, tgt, _ in family.moves(v, sites)
     )
@@ -101,46 +107,33 @@ def kn_admissible_paths(n: int) -> int:
     return math.factorial(n * (n - 1) // 2) // hooks
 
 
-def _sorted_vertices(diagram: TransitionDiagram):
-    return sorted(diagram.vertices, key=lambda v: (diagram.level(v), diagram.code_text(v)))
-
-
-def _sorted_arrows(diagram: TransitionDiagram):
-    return sorted(
-        diagram.arrows,
-        key=lambda a: (
-            diagram.level(a.source), diagram.code_text(a.source), diagram.code_text(a.target)
-        ),
-    )
+def _export_order(diagram: TransitionDiagram):
+    """Each code's text, computed once; (level, text, code) per vertex by level,
+    then text; the arrows by the rank of their source, then their target's text."""
+    text = {v: diagram.code_text(v) for v in diagram.vertices}
+    keyed = sorted((diagram.level(v), text[v], v) for v in diagram.vertices)
+    rank = {v: i for i, (_, _, v) in enumerate(keyed)}
+    return text, keyed, sorted(diagram.arrows, key=lambda a: (rank[a.source], text[a.target]))
 
 
 def export_dot(diagram: TransitionDiagram) -> str:
     """Deterministic DOT rendering; node ids are code texts."""
+    text, keyed, arrows = _export_order(diagram)
     lines = ["digraph sync_diagram {"]
-    for v in _sorted_vertices(diagram):
-        lines.append(f'  "{diagram.code_text(v)}";')
-    for a in _sorted_arrows(diagram):
+    lines += [f'  "{t}";' for _, t, _ in keyed]
+    for a in arrows:
         label = f"n={a.site}" if a.sign == 0 else f"n={a.site},q={a.sign:+d}"
-        lines.append(
-            f'  "{diagram.code_text(a.source)}" -> "{diagram.code_text(a.target)}" [label="{label}"];'
-        )
+        lines.append(f'  "{text[a.source]}" -> "{text[a.target]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(diagram: TransitionDiagram) -> str:
-    vertices = [
-        {"code": diagram.code_text(v), "level": diagram.level(v)}
-        for v in _sorted_vertices(diagram)
-    ]
+    text, keyed, arrows = _export_order(diagram)
+    vertices = [{"code": t, "level": level} for level, t, _ in keyed]
     arrows = [
-        {
-            "from": diagram.code_text(a.source),
-            "to": diagram.code_text(a.target),
-            "site": a.site,
-            "sign": a.sign,
-        }
-        for a in _sorted_arrows(diagram)
+        {"from": text[a.source], "to": text[a.target], "site": a.site, "sign": a.sign}
+        for a in arrows
     ]
     return json.dumps(
         {

@@ -166,11 +166,11 @@ def laplacian(spec: GraphSpec) -> np.ndarray:
 
 
 def check_positive(value: Number, name: str = "eps", unit: Number | None = None) -> None:
-    """Refuse value unless finite and > 0: the rule of every entry taking eps, and
-    of the Kuramoto sigma and step.  unit, if given, is tested in value's place
-    (the rational encoder's eps in integer units: same sign, always finite)."""
+    """Refuse value unless finite, > 0 and not a bool: the rule of every entry taking
+    eps, and of the Kuramoto sigma and step.  unit, if given, is tested in value's
+    place (the rational encoder's eps in integer units: same sign, always finite)."""
     v = value if unit is None else unit
-    if not (v > 0 if type(v) in (int, Fraction) else 0 < v < math.inf):
+    if type(value) is bool or not (v > 0 if type(v) in (int, Fraction) else 0 < v < math.inf):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 

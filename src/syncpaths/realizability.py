@@ -547,7 +547,9 @@ def ruler_from_configuration(config: Configuration) -> tuple[int, ...]:
     """Integer ruler inducing the same increment order as a typical configuration.
 
     Scales by the smallest integer p with p * min(e1, e2/4) > 1, where e1 is
-    the least increment and e2 the least gap between increments, then floors.
+    the least increment and e2 the least gap between increments (over those
+    that exist: n = 2 has no gap; n = 1 has no increment and takes p = 1),
+    then floors.
     """
     if config.spec.family is not Family.COMPLETE:
         raise ValueError("rulers are defined for the complete family")
@@ -564,8 +566,6 @@ def ruler_from_configuration(config: Configuration) -> tuple[int, ...]:
     diffs = [abs(p - q) for p, q in combinations(incs, 2)]
     if any(d == 0 for d in diffs):
         raise NotTypicalError("tied increments")
-    e1 = min(incs)
-    e2 = min(diffs)
-    bound = min(e1, e2 / 4)
-    p = int(1 / bound) + 1
+    bound = min([*incs, *(d / 4 for d in diffs)], default=None)
+    p = 1 if bound is None else int(1 / bound) + 1
     return tuple(math.floor(p * v) for v in vals)

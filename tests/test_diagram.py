@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -137,21 +138,36 @@ def test_kn_count_closed_forms_match_the_diagram():
         assert kn_admissible_paths(n) == sum(count_admissible_paths(d, s) for s in d.starts)
 
 
+def test_build_orders_vertices_by_level_and_arrows_by_source():
+    # the order the path-count DP reads: vertices in nondecreasing level, each
+    # source's arrows contiguous, sources in vertex order, and every vertex
+    # but the sink a source
+    specs = [complete(n) for n in range(1, 9)] + [bipartite(n) for n in range(1, 5)]
+    for spec in specs:
+        d = build_diagram(spec)
+        levels = [d.level(v) for v in d.vertices]
+        assert levels == sorted(levels), spec
+        sources = [s for s, _ in itertools.groupby(a.source for a in d.arrows)]
+        assert sources == [v for v in d.vertices if v != d.sink], spec
+
+
 def test_path_counts_one_dp_per_diagram():
-    # every K_{3,3} start against a memoized recursion over successors_knn,
-    # which uses neither the arrows nor the level order
+    # every K_{3,3} start and the K_7 identity against a memoized recursion over
+    # the move lists, which uses neither the arrows nor the level order
     from functools import lru_cache
 
-    d = build_diagram(bipartite(3))
-
     @lru_cache(maxsize=None)
-    def paths(code):
-        if code == d.sink:
+    def paths(code, sink):
+        if code == sink:
             return 1
-        return sum(paths(target) for _site, _sign, target in successors_knn(code))
+        moves = successors_kn(code) if isinstance(code[0], int) else successors_knn(code)
+        return sum(paths(move[-1], sink) for move in moves)
 
+    k7 = build_diagram(complete(7))
+    assert count_admissible_paths(k7, k7.starts[0]) == paths(k7.starts[0], k7.sink)
+    d = build_diagram(bipartite(3))
     counts = [count_admissible_paths(d, s) for s in d.starts]
-    assert counts == [paths(s) for s in d.starts]
+    assert counts == [paths(s, d.sink) for s in d.starts]
     table = d._path_counts
     assert count_admissible_paths(d, d.starts[0]) == counts[0]
     assert d._path_counts is table  # computed once, kept with the diagram

@@ -646,11 +646,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         KuramotoParams(step=0)
     for field in ("sigma", "step"):
-        for bad in (math.nan, math.inf, 0.0, -1.0):
+        for bad in (math.nan, math.inf, 0.0, -1.0, True):
             with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
                 KuramotoParams(**{field: bad})
     # every eps entry meets one check and one message before any work; the
-    # int-valued K_{2,2} takes exact eps through the encoder's integer unit
+    # int-valued K_{2,2} takes exact eps through the encoder's integer unit;
+    # a bool is refused though 0 < True < inf
     from syncpaths.flows import switching_times_knn_balanced
     from syncpaths.graphs import sync_subnetwork
     from syncpaths.witness import witness_kn, witness_knn
@@ -668,7 +669,7 @@ def test_params_validation():
         lambda e: witness_knn(((1, 2), (1, 2)), e),
     ]
     for entry in entries:
-        for bad in (math.nan, math.inf, 0.0, -1.0, 0, -1, Fraction(0), Fraction(-1)):
+        for bad in (math.nan, math.inf, 0.0, -1.0, 0, -1, Fraction(0), Fraction(-1), True):
             with pytest.raises(ValueError, match=rf"^eps must be finite and > 0, got {bad}$"):
                 entry(bad)
     assert KuramotoParams(sigma=1.0).effective_step(1e-3, 4) == pytest.approx(2.5e-5)

@@ -465,6 +465,15 @@ def test_ruler_preserves_order():
         assert order(cfg) == order(rcfg)
 
 
+def test_ruler_at_one_and_two_vertices():
+    # no gap between increments at n = 2, and no increment at n = 1
+    assert ruler_from_configuration(Configuration(complete(1), (Fraction(5, 2),))) == (2,)
+    assert ruler_from_configuration(Configuration(complete(1), (0,))) == (0,)
+    for x in ((0, 1), (Fraction(1, 3), Fraction(1, 2)), (Fraction(-7), Fraction(1, 1000))):
+        a, b = ruler_from_configuration(Configuration(complete(2), x))
+        assert b - a > 0
+
+
 def test_ruler_rejects_ties():
     with pytest.raises(NotTypicalError):
         ruler_from_configuration(Configuration(complete(4), (0, 1, 3, 4)))
