@@ -170,13 +170,19 @@ def dyck_area(code: KnCode) -> int:
 
 
 def _kn_moves(code: KnCode, sites: Iterable[int]) -> list[Move]:
-    """The bumps at sites: code[s] + 1 joins s, wherever code[s] < code[s + 1]."""
-    out = []
+    """The bumps at sites: code[s] + 1 joins s, wherever code[s] < code[s + 1].
+    The first bump copies the code into one list, which every bump changes, copies
+    into its new code and restores (faster than tuple slices or a list per bump)."""
+    n, out, new = len(code), [], None
     for s in sites:
-        if 0 < s < len(code) and code[s - 1] < code[s]:
-            new = list(code)  # a list copy builds faster than tuple slices
-            new[s - 1] += 1
-            out.append((s, 0, tuple(new), (s, new[s - 1])))
+        if 0 < s < n:
+            v = code[s - 1]
+            if v < code[s]:
+                if new is None:
+                    new = list(code)
+                new[s - 1] = v + 1
+                out.append((s, 0, tuple(new), (s, v + 1)))
+                new[s - 1] = v
     return out
 
 
@@ -220,15 +226,20 @@ def decode_knn(code: KnnCode) -> frozenset[Edge]:
 
 
 def enumerate_phi_nn(n: int) -> list[KnnCode]:
-    """All border pairs for party size n, lexicographic in (alpha, omega)."""
+    """All border pairs for party size n, lexicographic in (alpha, omega).
+
+    Only valid omega are built (nondecreasing, omega[i] >= alpha[i] - 1), from the
+    last row up: tails[f] lists in order the valid rests of omega that start >= f."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [
-        (alpha, omega)
-        for alpha in combinations_with_replacement(range(1, n + 2), n)
-        for omega in combinations_with_replacement(range(n + 1), n)
-        if all(a <= w + 1 for a, w in zip(alpha, omega))
-    ]
+    out = []
+    for alpha in combinations_with_replacement(range(1, n + 2), n):
+        tails = [[()]] * (n + 1)
+        for a in reversed(alpha):
+            led = [[(v, *t) for t in tails[v]] for v in range(n + 1)]  # the tails led by v
+            tails = [[t for ts in led[max(f, a - 1):] for t in ts] for f in range(n + 1)]
+        out += [(alpha, omega) for omega in tails[0]]
+    return out
 
 
 def narayana_count(n: int) -> int:
@@ -242,20 +253,25 @@ def _knn_level(code: KnnCode) -> int:
 
 
 def _knn_moves(code: KnnCode, sites: Iterable[int]) -> list[Move]:
-    """Row s gains the column below alpha (sign -1) or above omega (+1), borders monotone."""
+    """Row s gains the column below alpha (sign -1) or above omega (+1), borders monotone.
+    As in ``_kn_moves``, a border's first move copies it into one list."""
     alpha, omega = code
-    n, out = len(alpha), []
+    n, out, lo, hi = len(alpha), [], None, None
     for s in sites:
         if 0 < s <= n:
             a, w = alpha[s - 1], omega[s - 1]
             if a > 1 and (s == 1 or a > alpha[s - 2]):
-                new = list(alpha)
-                new[s - 1] = a - 1
-                out.append((s, -1, (tuple(new), omega), (s, n + a - 1)))
+                if lo is None:
+                    lo = list(alpha)
+                lo[s - 1] = a - 1
+                out.append((s, -1, (tuple(lo), omega), (s, n + a - 1)))
+                lo[s - 1] = a
             if w < n and (s == n or w < omega[s]):
-                new = list(omega)
-                new[s - 1] = w + 1
-                out.append((s, +1, (alpha, tuple(new)), (s, n + w + 1)))
+                if hi is None:
+                    hi = list(omega)
+                hi[s - 1] = w + 1
+                out.append((s, +1, (alpha, tuple(hi)), (s, n + w + 1)))
+                hi[s - 1] = w
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -21,8 +21,9 @@ from .codes import start_codes_knn, successors_kn  # noqa: F401  (perfbench call
 from .errors import SizeGuardError
 from .graphs import GraphSpec
 
-# kn13 (742,900 codes) builds and counts paths in 24 s at 1.4 GB peak RSS on a
-# 2-core VM; each step of n costs 3.5x, so kn14 and knn7 need about 5 GB
+# kn13 (742,900 codes) builds and counts paths in 14 s at 0.63 GB peak RSS on a
+# 2-core VM, and its DOT export takes 27 s at 2.3 GB; each step of n costs 3.6x,
+# so kn14 and knn7 would need about 2.3 GB to build and 8 GB to export
 SIZE_GUARD = 10**6
 
 
@@ -77,13 +78,19 @@ def guarded_code_count(spec: GraphSpec) -> int:
 
 
 def build_diagram(spec: GraphSpec) -> TransitionDiagram:
-    """Materialize the full diagram for the family (guarded by code count)."""
+    """Materialize the full diagram for the family (guarded by code count).
+    An arrow's ends are vertex objects, so no code is held twice, and arrows are
+    made by tuple.__new__, skipping the NamedTuple's Python-level __new__."""
     guarded_code_count(spec)
     family = CODES[spec.family]
     vertices = tuple(sorted(family.codes(spec.n), key=family.level))
+    vertex = {v: v for v in vertices}
+    arrow = partial(tuple.__new__, Arrow)
     sites = range(1, spec.n + 1)
     arrows = tuple(
-        Arrow(v, tgt, site, sign) for v in vertices for site, sign, tgt, _ in family.moves(v, sites)
+        arrow((v, vertex[tgt], site, sign))
+        for v in vertices
+        for site, sign, tgt, _ in family.moves(v, sites)
     )
     starts = tuple(family.starts(spec.n))
     return TransitionDiagram(spec, vertices, arrows, starts, family.sink(spec.n))

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -291,6 +290,8 @@ def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
         for c2 in _open_items(masks, full & ~(1 << c1)):
             prefixes.append((n, (c1, c2)))
             weights.append(w)
+    from concurrent.futures import ProcessPoolExecutor  # here: it imports multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return sum(w * k for w, k in zip(weights, pool.map(_count_branch, prefixes)))
 

@@ -162,6 +162,16 @@ def test_enumerate_phi_nn():
     assert len(enumerate_phi_nn(3)) == narayana_count(3) == 175
     codes = enumerate_phi_nn(3)
     assert len(set(codes)) == len(codes)
+    # only valid border pairs are built: the same list, in the same order, as
+    # filtering every pair of nondecreasing vectors
+    for n in range(1, 6):
+        product = [
+            (alpha, omega)
+            for alpha in combinations_with_replacement(range(1, n + 2), n)
+            for omega in combinations_with_replacement(range(n + 1), n)
+            if all(a <= w + 1 for a, w in zip(alpha, omega))
+        ]
+        assert enumerate_phi_nn(n) == product, n
 
 
 def test_narayana_closed_form():

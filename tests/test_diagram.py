@@ -151,6 +151,25 @@ def test_build_orders_vertices_by_level_and_arrows_by_source():
         assert sources == [v for v in d.vertices if v != d.sink], spec
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [complete(n) for n in range(1, 9)] + [bipartite(n) for n in range(1, 5)],
+    ids=lambda spec: f"{spec.family.value}{spec.n}",
+)
+def test_arrows_share_the_vertex_objects(spec):
+    # no arrow holds a copy of a code: its source and target are vertices
+    # themselves, and each vertex's arrows are its moves with the edge dropped
+    d = build_diagram(spec)
+    own = {id(v) for v in d.vertices}
+    assert all(id(a.source) in own and id(a.target) in own for a in d.arrows)
+    moves = codes.CODES[spec.family].moves
+    arrows = {v: [] for v in d.vertices}
+    for a in d.arrows:
+        arrows[a.source].append((a.site, a.sign, a.target))
+    for v in d.vertices:
+        assert arrows[v] == [move[:3] for move in moves(v, range(1, spec.n + 1))], v
+
+
 def test_path_counts_one_dp_per_diagram():
     # every K_{3,3} start and the K_7 identity against a memoized recursion over
     # the move lists, which uses neither the arrows nor the level order

@@ -1,8 +1,11 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import itertools
 import json
 import math
+import subprocess
+import sys
 import time
 import types
 import warnings
@@ -120,7 +123,8 @@ def test_parallel_count_agrees():
 
 def test_pool_workers_capped_at_cpu_count(monkeypatch):
     # every pool worker is forked at once, so a huge jobs value must not reach
-    # the pool; a fake pool records max_workers and maps in this process
+    # the pool; a fake pool records max_workers and maps in this process.  The
+    # pool is imported only where it starts, so the fake replaces it at its source
     from syncpaths import realizability
 
     seen = []
@@ -129,10 +133,18 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
         seen.append(max_workers)
         return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-    monkeypatch.setattr(realizability, "ProcessPoolExecutor", fake_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
     monkeypatch.setattr(realizability.os, "cpu_count", lambda: 3)
     assert count_realizable_paths_kn(5, jobs=10**6) == 114
     assert seen == [3]
+
+
+def test_import_starts_no_pool_machinery():
+    # the process pool, and multiprocessing with it, is imported only where a
+    # parallel count starts it, so no command pays for it at import
+    code = "import sys, syncpaths; print({'concurrent.futures', 'multiprocessing'} & set(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "set()"
 
 
 @pytest.mark.parametrize(
