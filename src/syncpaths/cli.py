@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 invalid or degenerate input (an unreadable or
 malformed file included), 3 resource guard exceeded, 1 internal error,
 failed verification, or a Kuramoto regime failure (exhausted horizon,
 desynchronized pair).  `count --jobs` sets the worker processes of the
-realizable-path search (default os.cpu_count(), at most that many are
-started).
+K_n realizable-path count (default os.cpu_count(), at most that many are
+started); the K_{n,n} ordering enumeration runs in one process and ignores it.
 """
 
 from __future__ import annotations
@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes (default and cap: os.cpu_count())")
+                   help="worker processes of the K_n realizable-path count "
+                        "(default and cap: os.cpu_count())")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("dist", help="length distribution and statistics")

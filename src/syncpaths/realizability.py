@@ -16,21 +16,21 @@ nor an equality row constrains it, else one cold root LP; a witness,
 integers in units of 1/d, is reused down the tree until a choice disagrees
 with it; then the LP re-solves warm from the last tableau on the path.
 Counting feasible full orders for the complete graph counts combinatorial
-classes of Golomb rulers; the worker pool splits that search at depth two
-with the same child rule.
+classes of Golomb rulers.
 
-Only one member of each symmetry orbit is searched.  A symmetry is a vertex
-map that keeps every magnitude: the reflection x'_i = -x_{n+1-i}, which on
-K_n maps (a, k) to (n+1-a-k, k) and on K_{n,n} maps (r, c, q) to
-(n+1-r, n+1-c, -q), and on K_{n,n} the party swap (r, c, q) -> (c, r, -q).
-It maps the feasible chains of one search onto those of its image, item by
-item, so the image's chains are the representative's renamed by an item
-permutation.  On K_n the first-item branches c > mirror(c) are mirrors of
-searched ones (and count as them); on K_{n,n} every arrangement after the
-first of its orbit, in ``arrangements`` order, reuses that one's chains.
-``_chains`` extends in increasing item order, so it yields its chains in
-lexicographic order, and ``sorted`` puts renamed chains back in exactly the
-order a search of the image would yield them.
+``_orbit_search`` runs ``_chains`` on one member of each symmetry orbit.  A
+symmetry is a vertex map that keeps every magnitude: the reflection
+x'_i = -x_{n+1-i}, which on K_n maps (a, k) to (n+1-a-k, k) and on K_{n,n}
+maps (r, c, q) to (n+1-r, n+1-c, -q), and on K_{n,n} the party swap
+(r, c, q) -> (c, r, -q); it maps the chains below a prefix onto those below
+its image.  K_n is one search space; K_{n,n} has one per arrangement, and
+one with an earlier orbit member (``arrangements`` order) renames its chains.
+A node (space, prefix) has as stabilizer the symmetries that map the space
+onto itself and fix every prefix item.  While that is not empty, the node
+branches only on open items least in their orbit under it: the others'
+chains are a representative's renamed, and a count weights it by the
+orbit's size.  Then, or at a full prefix (whose LP it checks), ``_chains``
+searches plainly; a parallel count splits each such search one item deeper.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
 
 
 def _mapped(chains: Iterable[tuple[int, ...]], perm: Sequence[int]) -> list[tuple[int, ...]]:
-    """The chains with every item renamed by perm, in the search's (lexicographic) order."""
+    """The chains with every item renamed by perm, in the order a search yields them:
+    ``_chains`` extends in increasing item order, so that order is lexicographic."""
     return sorted(tuple(perm[i] for i in chain) for chain in chains)
 
 
@@ -214,6 +215,70 @@ def _item_permutation(pairs: Sequence[tuple[int, int]], vertex) -> list[int]:
     """perm[i] = index of the image of item i, a vertex pair, under the vertex map."""
     index = {frozenset(p): i for i, p in enumerate(pairs)}
     return [index[frozenset(map(vertex, p))] for p in pairs]
+
+
+def _orbit_search(family: Family, n: int, balanced: bool = False, count: bool = False,
+                  jobs: int | None = 1) -> list | int:
+    """The family's feasible orders as (space key, labels) pairs in search order, or
+    with count their number.  The spaces are K_n's one (key ()) or K_{n,n}'s
+    arrangements; a symmetry is a (key map, item permutation) pair."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    limit = COUNT_LIMIT if family is Family.COMPLETE else ORDERING_LIMIT_KNN
+    if n > limit:
+        raise SizeGuardError(f"the {family.value} ordering search is guarded to n <= {limit}")
+    if family is Family.COMPLETE:
+        mirror = _item_permutation([(a, a + k) for a, k in kn_labels(n)], lambda v: n + 1 - v)
+        spaces, group = {(): _kn_space(n)}, [(lambda key: key, mirror)]
+    else:
+        spaces = {arr: _knn_space(n, arr, balanced) for arr in arrangements(n)}
+        group = _knn_symmetries(n)
+    cpus = os.cpu_count() or 1
+    jobs = cpus if jobs is None else min(jobs, cpus)
+    split = count and jobs > 1 and len(group[0][1]) >= 10  # a permutation has every item
+    plain = []  # count: (orbit weight, (space, prefix)) of each plain search
+
+    def search(space, masks, stab, prefix, remaining, weight) -> list[tuple[int, ...]]:
+        if stab and remaining:
+            out: dict[int, list[tuple[int, ...]]] = {}
+            for c in _open_items(masks, remaining):
+                orbit = {c, *(g[c] for g in stab)}
+                if c == (rep := min(orbit)):
+                    out[c] = search(space, masks, [g for g in stab if g[c] == c], prefix + (c,),
+                                    remaining & ~(1 << c), weight * len(orbit))
+                else:
+                    out[c] = _mapped(out[rep], next(g for g in stab if g[rep] == c))
+            return [chain for chains in out.values() for chain in chains]
+        if not count:
+            return list(_chains(space, prefix))
+        # a split's workers check the longer prefixes' LPs
+        longer = [prefix + (c,) for c in _open_items(masks, remaining)] if split else []
+        plain.extend((weight, (space, p)) for p in longer or [prefix])
+        return []
+
+    rank, found = {key: i for i, key in enumerate(spaces)}, {}
+    for key, (space, _labels) in spaces.items():
+        orbit = {key, *(arrange(key) for arrange, _perm in group)}
+        first = min(orbit, key=rank.__getitem__)
+        perms = [perm for arrange, perm in group if arrange(first) == key]  # stabilizer if equal
+        if first != key:
+            found[key] = _mapped(found[first], perms[0])
+        else:
+            masks = _containment_masks(space.windows)
+            found[key] = search(space, masks, perms, (), (1 << len(masks)) - 1, len(orbit))
+    if not count:
+        return [(key, tuple(spaces[key][1][i] for i in chain))
+                for key, chains in found.items() for chain in chains]
+    if not split:
+        return sum(w * _chain_count(task) for w, task in plain)
+    from concurrent.futures import ProcessPoolExecutor  # here: it imports multiprocessing
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return sum(w * k for (w, _), k in zip(plain, pool.map(_chain_count, [t for _, t in plain])))
+
+
+def _chain_count(task) -> int:
+    return sum(1 for _chain in _chains(*task))
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +295,14 @@ def _kn_space(n: int) -> tuple[_ChainSpace, list[KnLabel]]:
     return _ChainSpace(windows, n - 1, ()), labels
 
 
-def _kn_mirror(n: int) -> list[int]:
-    """The reflection x'_i = -x_{n+1-i} on kn_labels(n): (a, k) -> (n+1-a-k, k)."""
-    return _item_permutation([(a, a + k) for a, k in kn_labels(n)], lambda v: n + 1 - v)
-
-
 def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
-    """All feasible strict orders on the pairwise increments, deterministic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return [()]
-    space, labels = _kn_space(n)
-    masks, mirror = _containment_masks(space.windows), _kn_mirror(n)
-    branches: dict[int, list[tuple[int, ...]]] = {}
-    for c in _open_items(masks, (1 << len(labels)) - 1):
-        m = mirror[c]
-        branches[c] = list(_chains(space, (c,))) if c <= m else _mapped(branches[m], mirror)
-    return [tuple(labels[i] for i in chain) for chains in branches.values() for chain in chains]
+    """All feasible strict orders on the pairwise increments, deterministic order;
+    n above COUNT_LIMIT raises SizeGuardError before any search."""
+    return [order for _key, order in _orbit_search(Family.COMPLETE, n)]
 
 
-def _count_branch(args) -> int:
-    n, prefix = args
-    space, _ = _kn_space(n)
-    return sum(1 for _chain in _chains(space, prefix))
-
-
-# n=7 (107498 classes) is the largest count measured to finish, in 109 s on one
-# core and 48 s with two (2026-10-19, 2-core VM, CPython 3.11; the VM's speed
+# n=7 (107498 classes) is the largest count measured to finish, in 158 s on one
+# core and 69 s with two (2026-10-20, 2-core VM, CPython 3.11; the VM's speed
 # varies up to 1.8x); n=8 has 68 times as many classes, so its search runs for hours
 COUNT_LIMIT = 7
 
@@ -265,35 +310,12 @@ COUNT_LIMIT = 7
 def count_realizable_paths_kn(n: int, jobs: int | None = None) -> int:
     """Number of feasible full increment orders = number of Golomb-ruler classes.
 
-    Only the branches whose first item c has c <= mirror(c) are searched; a
-    branch with a distinct mirror counts twice.  jobs worker processes split
-    the search (default os.cpu_count()); the pool never starts more than
-    os.cpu_count(), since every worker is forked at once.
+    At every node the reflection fixes, one item of each mirror pair is
+    searched and counts twice.  jobs worker processes split the search
+    (default os.cpu_count()); the pool never starts more than os.cpu_count(),
+    since every worker is forked at once.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > COUNT_LIMIT:
-        raise SizeGuardError(f"counting is guarded to n <= {COUNT_LIMIT}")
-    if n <= 2:
-        return 1
-    cpus = os.cpu_count() or 1
-    jobs = cpus if jobs is None else min(jobs, cpus)
-    space, _ = _kn_space(n)
-    masks, mirror = _containment_masks(space.windows), _kn_mirror(n)
-    full = (1 << len(masks)) - 1
-    firsts = [(c, 1 if c == mirror[c] else 2) for c in _open_items(masks, full) if c <= mirror[c]]
-    if jobs <= 1 or n <= 4:
-        return sum(w * _count_branch((n, (c,))) for c, w in firsts)
-    # split the search at depth two; workers feasibility-check their prefix
-    prefixes, weights = [], []
-    for c1, w in firsts:
-        for c2 in _open_items(masks, full & ~(1 << c1)):
-            prefixes.append((n, (c1, c2)))
-            weights.append(w)
-    from concurrent.futures import ProcessPoolExecutor  # here: it imports multiprocessing
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(w * k for w, k in zip(weights, pool.map(_count_branch, prefixes)))
+    return _orbit_search(Family.COMPLETE, n, count=True, jobs=jobs)
 
 
 class GolombBounds(NamedTuple):
@@ -359,12 +381,8 @@ def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
 
 def _knn_symmetries(n: int):
     """(arrangement map, item permutation) of the party swap, of the reflection
-    x' = -x with each party relabelled in reverse, and of their product.
-
-    Each is an involution on the vertices that keeps every magnitude, so it
-    maps the feasible chains of an arrangement onto those of its image; the
-    items are the (row, col) pairs in ``_knn_space`` order.
-    """
+    x' = -x with each party relabelled in reverse, and of their product; the
+    items are the (row, col) pairs in ``_knn_space`` order."""
     def swap(v):
         return v - n if v > n else v + n
 
@@ -382,8 +400,8 @@ def _knn_symmetries(n: int):
 
 
 # `count --family knn` reports orderings up to here: n=3 (20 interleavings of
-# 9 magnitudes, 7 of them searched) took 0.33-0.34 s end to end (2026-10-19,
-# 2 cores, CPython 3.11), and n=4 has 70 interleavings of 16 magnitudes
+# 9 magnitudes, 7 searched) took 0.52-0.56 s end to end, 0.33-0.34 s balanced
+# (2026-10-20, 2 cores, CPython 3.11); n=4 has 70 interleavings of 16 magnitudes
 ORDERING_LIMIT_KNN = 3
 
 
@@ -397,28 +415,9 @@ def enumerate_realizable_orderings_knn(
     with signs fixed by the arrangement.  balanced adds the exact party-mean
     equality (which at n = 2 forces magnitude ties, leaving no strictly
     orderable configuration; see the README section "Reference-table
-    discrepancies").
+    discrepancies").  n above ORDERING_LIMIT_KNN raises SizeGuardError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > ORDERING_LIMIT_KNN:
-        raise SizeGuardError(
-            f"bipartite ordering enumeration is guarded to n <= {ORDERING_LIMIT_KNN}"
-        )
-    symmetries = _knn_symmetries(n)
-    solved: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    out: list[tuple[tuple[int, ...], tuple[KnnLabel, ...]]] = []
-    for arr in arrangements(n):
-        space, labels = _knn_space(n, arr, balanced)
-        # the first arrangement of its orbit is searched; the others rename its chains
-        for arrange, perm in symmetries:
-            if (image := arrange(arr)) in solved:
-                chains = _mapped(solved[image], perm)
-                break
-        else:
-            chains = solved[arr] = list(_chains(space))
-        out.extend((arr, tuple(labels[i] for i in chain)) for chain in chains)
-    return out
+    return _orbit_search(Family.BIPARTITE, n, balanced)
 
 
 # ---------------------------------------------------------------------------

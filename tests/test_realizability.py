@@ -121,22 +121,46 @@ def test_parallel_count_agrees():
     assert count_realizable_paths_kn(5, jobs=2) == 114
 
 
-def test_pool_workers_capped_at_cpu_count(monkeypatch):
-    # every pool worker is forked at once, so a huge jobs value must not reach
-    # the pool; a fake pool records max_workers and maps in this process.  The
-    # pool is imported only where it starts, so the fake replaces it at its source
+@pytest.fixture
+def fake_pool(monkeypatch):
+    # a fake pool on a 3-core machine: it records max_workers and maps in this
+    # process.  The pool is imported only where it starts, so the fake
+    # replaces it at its source
     from syncpaths import realizability
 
     seen = []
 
-    def fake_pool(max_workers):
+    def pool(max_workers):
         seen.append(max_workers)
         return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(realizability.os, "cpu_count", lambda: 3)
+    return seen
+
+
+def test_pool_workers_capped_at_cpu_count(fake_pool):
+    # every pool worker is forked at once, so a huge jobs value must not reach the pool
     assert count_realizable_paths_kn(5, jobs=10**6) == 114
-    assert seen == [3]
+    assert fake_pool == [3]
+
+
+@pytest.mark.parametrize(
+    "family, n, balanced",
+    [*((Family.COMPLETE, n, False) for n in range(1, 7)),
+     *((Family.BIPARTITE, n, b) for n in (1, 2, 3) for b in (False, True))],
+    ids=lambda v: v.value if isinstance(v, Family) else str(v),
+)
+def test_orbit_count_matches_the_list(family, n, balanced, fake_pool):
+    # the count weights each searched representative by its orbit's size; it
+    # must give the list's length serially and split over the (fake) pool,
+    # which a count starts from 10 items on (K_5 and up)
+    from syncpaths.realizability import _orbit_search
+
+    rows = len(_orbit_search(family, n, balanced))
+    assert _orbit_search(family, n, balanced, count=True) == rows
+    assert _orbit_search(family, n, balanced, count=True, jobs=2) == rows
+    assert fake_pool == ([2] if family is Family.COMPLETE and n >= 5 else [])
 
 
 def test_import_starts_no_pool_machinery():
@@ -150,20 +174,23 @@ def test_import_starts_no_pool_machinery():
 @pytest.mark.parametrize(
     "enumerate_rows, work",
     [
-        (lambda: enumerate_realizable_orderings_kn(4), (16, 78, 19)),
+        (lambda: enumerate_realizable_orderings_kn(4), (11, 50, 13)),
         (lambda: enumerate_realizable_orderings_kn(5), (218, 2690, 191)),
-        (lambda: enumerate_realizable_orderings_knn(2), (14, 41, 20)),
-        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (5, 9, 3)),
-        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (379, 4911, 394)),
+        (lambda: enumerate_realizable_orderings_knn(2), (9, 26, 13)),
+        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (4, 12, 3)),
+        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (335, 4336, 329)),
         (lambda: count_realizable_paths_kn(5, jobs=1), (218, 2690, 191)),
+        (lambda: count_realizable_paths_kn(6, jobs=1), (8230, 192358, 6515)),
     ],
-    ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced", "count-kn5-serial"],
+    ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced", "count-kn5-serial",
+         "count-kn6-serial"],
 )
 def test_lp_call_counts_are_pinned(enumerate_rows, work, monkeypatch):
     # (solves, rows in the tableau at each solve, pivots), summed over the
     # search: an extra root LP or a weaker witness-reuse test shows up as more
     # solves, an implied tail row as more rows, a lost warm start as more
-    # pivots, a mirrored branch or arrangement searched again as all three;
+    # pivots, a mirrored branch or arrangement searched again as all three
+    # (at even n, below the self-mirror first item too);
     # the pivots are read off each tableau's own count
     from syncpaths import ratlp
 
@@ -279,13 +306,22 @@ def test_knn_upper_bound():
     assert knn_path_upper_bound(4) == (math.comb(8, 4) - 2) * GOLOMB_TABLE[8]
 
 
-def test_count_size_guard():
+def test_count_size_guard(monkeypatch):
+    # every search, listing or counting, is refused before it starts: a
+    # search that began would call the (here failing) chain generator
+    from syncpaths import realizability
     from syncpaths.errors import SizeGuardError
 
+    def no_search(*_args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(realizability, "_chains", no_search)
     for n in (8, 10):
         t0 = time.perf_counter()
         with pytest.raises(SizeGuardError):
             count_realizable_paths_kn(n)
+        with pytest.raises(SizeGuardError):
+            enumerate_realizable_orderings_kn(n)
         assert time.perf_counter() - t0 < 1.0  # refused before any search
     with pytest.raises(SizeGuardError):
         enumerate_realizable_orderings_knn(ORDERING_LIMIT_KNN + 1)
