@@ -34,6 +34,10 @@ class GraphSpec:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise ValueError(f"family must be a Family, got {self.family!r}")
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"party size must be positive, got {self.n}")
 

@@ -18,6 +18,17 @@ with it; then the LP re-solves warm from the last tableau on the path.
 Counting feasible full orders for the complete graph counts combinatorial
 classes of Golomb rulers.
 
+Before an LP, a two-pair exchange may refute the order outright.  Items I, J,
+K, L whose windows sum alike (I + J = K + L as forms of the gaps, as in
+x_b - x_a + x_d - x_c = x_d - x_a + x_b - x_c, the distinct-differences
+condition of Golomb rulers) cannot have I below K and J below L: that gives
+m(I) + m(J) < m(K) + m(L) strictly.  In the chain search the chain's items
+are ranked in order and every item off the chain ties above them all (an
+open tail is above the chain by its LP row, any other item contains one);
+two tied items are never below one another.  ``feasible`` on K_n applies the
+rule to an order's own items.  A refuted node is skipped as an infeasible LP
+would be, so every remaining solve is unchanged.
+
 ``_orbit_search`` runs ``_chains`` on one member of each symmetry orbit.  A
 symmetry is a vertex map that keeps every magnitude: the reflection
 x'_i = -x_{n+1-i}, which on K_n maps (a, k) to (n+1-a-k, k) and on K_{n,n}
@@ -45,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import ratlp
 from .codes import CODES, KnCode, KnnCode, Move, validate_kn, validate_knn
 from .errors import NotTypicalError, SizeGuardError, SyncPathsError
-from .graphs import Configuration, Family, bipartite, complete
+from .graphs import Configuration, Family, GraphSpec, bipartite, complete
 
 # Literature values for the number of Golomb-ruler classes (OEIS A237749).
 GOLOMB_TABLE = {
@@ -78,6 +89,7 @@ class IncrementOrder:
         return json.dumps([list(lab) for lab in self.labels])
 
     def __post_init__(self) -> None:
+        GraphSpec(self.family, self.n)  # the family and n rules of the order's graph
         size, labels, complete = self.n, self.labels, self.family is Family.COMPLETE
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be pairwise distinct")
@@ -145,6 +157,47 @@ def _containment_masks(windows: Sequence[tuple[int, int]]) -> list[int]:
     return masks
 
 
+def _pair_form(w: tuple[int, int], v: tuple[int, int]) -> tuple[int, ...]:
+    """Key of the gap form that windows w and v sum to: equal keys, equal forms.  A
+    shared end cancels (tiles summing to one window), else starts and ends as sets."""
+    (a, b), (c, d) = w, v
+    if b == c:
+        return a, d
+    if d == a:
+        return c, b
+    return min(a, c), max(a, c), min(b, d), max(b, d)
+
+
+def _exchange_table(windows: Sequence[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """table[c] = every (j, k, l) whose pairs {c, j} and {k, l} of items differ but
+    whose windows sum to the same gap form."""
+    forms: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, j in combinations(range(len(windows)), 2):
+        forms.setdefault(_pair_form(windows[i], windows[j]), []).append((i, j))
+    table: list[list[tuple[int, int, int]]] = [[] for _ in windows]
+    for pairs in forms.values():
+        for i, j in pairs:
+            for k, l in pairs:
+                if k != i:
+                    table[i].append((j, k, l))
+                    table[j].append((i, k, l))
+    return table
+
+
+def _exchanged(table: Sequence[Sequence[tuple[int, int, int]]], rank: Sequence[int],
+               c: int) -> bool:
+    """Whether item c, ranked last of the chain with every item off it tied above,
+    closes an exchange: {c, j} and {k, l} of one form with c below k and j below l
+    (or c below l and j below k).  Then m(c) + m(j) < m(k) + m(l), though both sides
+    are one form of the gaps, so no configuration has the order."""
+    rc = rank[c]
+    for j, k, l in table[c]:
+        rj = rank[j]
+        if rc < rank[k] and rj < rank[l] or rc < rank[l] and rj < rank[k]:
+            return True
+    return False
+
+
 def _open_items(masks: Sequence[int], remaining: int) -> Iterator[int]:
     """Items that may come next: still open, with no open item nested inside."""
     for c in range(len(masks)):
@@ -164,6 +217,14 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     (``_open_items``) are constrained: any other tail item contains one of
     them, and with every gap at least 1 it is then larger by at least 1.
 
+    Before a node's LP, ``_exchanged`` tries the two-pair exchange (module
+    docstring) with the chain's items ranked by position and every item off
+    the chain tied above them: known to be above the chain, not to be above
+    one another.  The parent is feasible, so only the relations "c below an
+    item off the chain" are new, and only the pairs holding the new item c
+    are checked, in a table built once per search.  A refuted node is
+    skipped like an LP ``None``.
+
     A node carries the tableau of the last LP on its path, solved for
     chain[:k] with chain[k] among its tails.  A child's LP copies it, adds
     the pairs from chain[k] on and the child's tail rows, and re-solves warm.
@@ -171,9 +232,14 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     gaps >= 1), so the region and the verdict are the child's.
     """
     masks = _containment_masks(space.windows)
-    remaining = (1 << len(space.windows)) - 1
-    for c in prefix:
+    table = _exchange_table(space.windows)
+    rank = [len(masks)] * len(masks)  # off the chain: tied above it
+    remaining = (1 << len(masks)) - 1
+    for i, c in enumerate(prefix):
         remaining &= ~(1 << c)
+        rank[c] = i
+        if _exchanged(table, rank, c):
+            return
     lp = ratlp.Tableau(space.n_gaps)
     if prefix or space.eq_rows:
         tails = _open_items(masks, remaining) if prefix else ()
@@ -188,18 +254,21 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
             yield chain
             return
         for c in _open_items(masks, remaining):
-            rest = remaining & ~(1 << c)
+            rest, longer = remaining & ~(1 << c), chain + (c,)
             tails = list(_open_items(masks, rest))
+            rank[c] = len(chain)
             above = m[c] + d
             if (chain and m[c] < m[chain[-1]] + d) or any(m[j] < above for j in tails):
-                child, longer = lp.copy(), chain + (c,)
-                w = _solve_chain(space, child, longer, k, tails)
-                if w is None:
-                    continue
-                gaps, w_d = w
-                yield from extend(longer, rest, _magnitudes(space, gaps), w_d, child, len(longer))
+                if not _exchanged(table, rank, c):
+                    child = lp.copy()
+                    w = _solve_chain(space, child, longer, k, tails)
+                    if w is not None:
+                        gaps, w_d = w
+                        yield from extend(longer, rest, _magnitudes(space, gaps), w_d, child,
+                                          len(longer))
             else:
-                yield from extend(chain + (c,), rest, m, d, lp, k)
+                yield from extend(longer, rest, m, d, lp, k)
+            rank[c] = len(masks)
 
     gaps, d = root
     yield from extend(prefix, remaining, _magnitudes(space, gaps), d, lp, len(prefix))
@@ -301,9 +370,10 @@ def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     return [order for _key, order in _orbit_search(Family.COMPLETE, n)]
 
 
-# n=7 (107498 classes) is the largest count measured to finish, in 158 s on one
-# core and 69 s with two (2026-10-20, 2-core VM, CPython 3.11; the VM's speed
-# varies up to 1.8x); n=8 has 68 times as many classes, so its search runs for hours
+# n=7 (107498 classes) is the largest count measured to finish, in 36 s on one
+# core and 16 s with two (2026-10-20, 2-core VM, CPython 3.11; the VM's speed
+# varies up to 1.8x); n=8 has 68 times as many classes, so by that scaling alone
+# its search would take 18 minutes or more with two (not measured)
 COUNT_LIMIT = 7
 
 
@@ -400,7 +470,7 @@ def _knn_symmetries(n: int):
 
 
 # `count --family knn` reports orderings up to here: n=3 (20 interleavings of
-# 9 magnitudes, 7 searched) took 0.52-0.56 s end to end, 0.33-0.34 s balanced
+# 9 magnitudes, 7 searched) took 0.33-0.50 s end to end, 0.24-0.33 s balanced
 # (2026-10-20, 2 cores, CPython 3.11); n=4 has 70 interleavings of 16 magnitudes
 ORDERING_LIMIT_KNN = 3
 
@@ -433,8 +503,25 @@ def feasible(order: IncrementOrder, balanced: bool = False) -> Configuration | N
     return _feasible_knn(order, balanced)
 
 
+def _order_exchanged(windows: Sequence[tuple[int, int]]) -> bool:
+    """Whether an order (windows by increasing magnitude) has two pairs of one gap
+    form, one below the other in both items; O(L^2) in its length L.  The pairs of
+    a form are disjoint, met in increasing lower item, and none is below another
+    only if each upper item is below the last: the pairs nest."""
+    upper: dict[tuple[int, ...], int] = {}
+    for i, w in enumerate(windows):
+        for j in range(i + 1, len(windows)):
+            form = _pair_form(w, windows[j])
+            if upper.get(form, j) < j:
+                return True
+            upper[form] = j
+    return False
+
+
 def _feasible_kn(order: IncrementOrder) -> Configuration | None:
     n = order.n
+    if _order_exchanged([(a - 1, a - 1 + k) for a, k in order.labels]):
+        return None
     space, labels = _kn_space(n)
     index = {lab: i for i, lab in enumerate(labels)}
     chain = [index[lab] for lab in order.labels]

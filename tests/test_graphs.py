@@ -26,6 +26,11 @@ def test_spec_invariants():
     assert bipartite(3).edge_count == 9
     with pytest.raises(ValueError):
         GraphSpec(Family.COMPLETE, 0)
+    for n in (2.0, True, np.int64(3)):
+        with pytest.raises(ValueError, match="^n must be an int"):
+            GraphSpec(Family.COMPLETE, n)
+    with pytest.raises(ValueError, match="^family must be a Family"):
+        GraphSpec("kn", 3)
 
 
 def test_laplacian_two_vertices():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ from syncpaths.realizability import (
     enumerate_realizable_orderings_knn,
     feasible,
     golomb_bounds,
+    kn_labels,
     knn_path_upper_bound,
     path_to_ordering_kn,
     path_to_ordering_knn,
@@ -65,28 +67,44 @@ def test_counterexample_infeasible():
     assert feasible(order) is None
 
 
-def test_k5_witnesses_pinned():
-    # feasible() on every K5 jump path from the identity code: the exact
-    # witness values (None when infeasible) are those of the rational
-    # tableau, so a changed pivot sequence fails here
+def _k5_jump_orders():
     from syncpaths.diagram import successors_kn
 
-    paths = []
+    identity, orders = (1, 2, 3, 4, 5), []
 
     def walk(code, sites):
         nxt = successors_kn(code)
         if not nxt:
-            paths.append(tuple(sites))
+            orders.append(path_to_ordering_kn(identity, sites))
         for site, target in nxt:
             walk(target, sites + [site])
 
-    walk((1, 2, 3, 4, 5), [])
+    walk(identity, [])
+    return orders
+
+
+def test_k5_witnesses_pinned(monkeypatch):
+    # feasible() on every K5 jump path from the identity code: the exact
+    # witness values (None when infeasible) are those of the rational
+    # tableau, so a changed pivot sequence fails here.  The exchange rule
+    # refutes all but 8 of the 654 infeasible orders without an LP
+    from syncpaths import ratlp
+
+    solve, verdicts = ratlp.solve_feasibility, []
+
+    def counted(*args, **kwargs):
+        point = solve(*args, **kwargs)
+        verdicts.append(point is None)
+        return point
+
+    monkeypatch.setattr(ratlp, "solve_feasibility", counted)
     witnesses = []
-    for sites in paths:
-        config = feasible(path_to_ordering_kn((1, 2, 3, 4, 5), sites))
+    for order in _k5_jump_orders():
+        config = feasible(order)
         witnesses.append(None if config is None else [str(v) for v in config.values])
-    assert len(paths) == 768
+    assert len(witnesses) == 768
     assert sum(w is None for w in witnesses) == 654
+    assert (len(verdicts), sum(verdicts)) == (122, 8)
     assert witnesses[:2] == [["0", "1", "3", "7", "15"], ["0", "2", "5", "11", "21"]]
     assert _sha256_json(witnesses) == (
         "7e56d5ea4d77bd4bad97d3cdee60c036215105c08c89c0c7b118ad7a2b81ab91"
@@ -174,22 +192,23 @@ def test_import_starts_no_pool_machinery():
 @pytest.mark.parametrize(
     "enumerate_rows, work",
     [
-        (lambda: enumerate_realizable_orderings_kn(4), (11, 50, 13)),
-        (lambda: enumerate_realizable_orderings_kn(5), (218, 2690, 191)),
-        (lambda: enumerate_realizable_orderings_knn(2), (9, 26, 13)),
+        (lambda: enumerate_realizable_orderings_kn(4), (8, 32, 13)),
+        (lambda: enumerate_realizable_orderings_kn(5), (98, 1053, 159)),
+        (lambda: enumerate_realizable_orderings_knn(2), (8, 21, 13)),
         (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (4, 12, 3)),
-        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (335, 4336, 329)),
-        (lambda: count_realizable_paths_kn(5, jobs=1), (218, 2690, 191)),
-        (lambda: count_realizable_paths_kn(6, jobs=1), (8230, 192358, 6515)),
+        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (200, 2228, 302)),
+        (lambda: count_realizable_paths_kn(5, jobs=1), (98, 1053, 159)),
+        (lambda: count_realizable_paths_kn(6, jobs=1), (2294, 48264, 3661)),
     ],
     ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced", "count-kn5-serial",
          "count-kn6-serial"],
 )
 def test_lp_call_counts_are_pinned(enumerate_rows, work, monkeypatch):
     # (solves, rows in the tableau at each solve, pivots), summed over the
-    # search: an extra root LP or a weaker witness-reuse test shows up as more
-    # solves, an implied tail row as more rows, a lost warm start as more
-    # pivots, a mirrored branch or arrangement searched again as all three
+    # search: an extra root LP, a weaker witness-reuse test or a weaker
+    # exchange refutation shows up as more solves, an implied tail row as
+    # more rows, a lost warm start as more pivots, a mirrored branch or
+    # arrangement searched again as all three
     # (at even n, below the self-mirror first item too);
     # the pivots are read off each tableau's own count
     from syncpaths import ratlp
@@ -254,6 +273,69 @@ def test_orbit_reuse_matches_the_full_search():
     assert per_gap == {1: 22, 2: 35, 3: 35, 4: 22}
     assert all(per_gap[a] == per_gap[5 - a] for a in per_gap)
     assert sum(per_gap.values()) == GOLOMB_TABLE[5]
+
+
+def test_exchange_refutes_only_infeasible_nodes(monkeypatch):
+    # soundness oracle for the chain search: the exchange rule is kept from
+    # pruning, so every node it refutes is still solved, and that LP must be
+    # infeasible; the lists must come out as they do with the rule on
+    from syncpaths import realizability
+
+    searches = [
+        *((enumerate_realizable_orderings_kn, (n,)) for n in range(1, 6)),
+        *((enumerate_realizable_orderings_knn, (n, b)) for n in (1, 2) for b in (False, True)),
+    ]
+    want = [search(*args) for search, args in searches]
+    exchanged, solve_chain = realizability._exchanged, realizability._solve_chain
+    pending, verdicts = [False], []
+
+    def recorded(table, rank, c):
+        pending[0] |= exchanged(table, rank, c)
+        return False
+
+    def solved(*args):
+        point = solve_chain(*args)
+        if pending[0]:
+            verdicts.append(point)
+            pending[0] = False
+        return point
+
+    monkeypatch.setattr(realizability, "_exchanged", recorded)
+    monkeypatch.setattr(realizability, "_solve_chain", solved)
+    assert [search(*args) for search, args in searches] == want
+    assert len(verdicts) == 124
+    assert all(point is None for point in verdicts)
+
+
+def test_refuted_orders_are_infeasible(monkeypatch):
+    # soundness oracle for feasible(): every order the exchange rule refutes
+    # has an infeasible LP, over the K5 jump paths and a seeded K6 sample of
+    # shuffled label orders and of random rulers' orders (feasible), each
+    # also with every two neighbours swapped
+    from syncpaths import realizability
+
+    orders, rng, labels = _k5_jump_orders(), random.Random(2026), kn_labels(6)
+    for _ in range(40):
+        orders.append(IncrementOrder(Family.COMPLETE, 6, tuple(rng.sample(labels, len(labels)))))
+        ruler = sorted(rng.sample(range(64), 6))
+        length = {(a, k): ruler[a + k - 1] - ruler[a - 1] for a, k in labels}
+        if len(set(length.values())) < len(labels):
+            continue
+        ruled = sorted(labels, key=length.__getitem__)
+        for i in range(len(ruled)):
+            swapped = ruled[:i] + ruled[i + 1 : i + 2] + ruled[i : i + 1] + ruled[i + 2 :]
+            orders.append(IncrementOrder(Family.COMPLETE, 6, tuple(swapped)))
+    exchanged, refuted = realizability._order_exchanged, []
+
+    def recorded(windows):
+        refuted.append(exchanged(windows))
+        return False
+
+    monkeypatch.setattr(realizability, "_order_exchanged", recorded)
+    lp_none = [feasible(order) is None for order in orders]
+    assert all(none for none, r in zip(lp_none, refuted) if r)
+    assert (sum(refuted[:768]), sum(lp_none[:768])) == (646, 654)
+    assert (len(orders) - 768, sum(refuted[768:]), sum(lp_none[768:])) == (250, 197, 198)
 
 
 def test_kn4_orderings_match_reference():
@@ -480,6 +562,14 @@ def test_order_json():
 def test_feasible_rejects_kn_balanced_flag():
     with pytest.raises(ValueError):
         feasible(IncrementOrder(Family.COMPLETE, 3, ((1, 1),)), balanced=True)
+
+
+def test_increment_order_refuses_bad_fields():
+    # the order's graph rules: a Family and an int n (no bool), as GraphSpec's
+    for family, n, match in ((Family.COMPLETE, 2.0, "^n must"), (Family.COMPLETE, True, "^n must"),
+                             ("kn", 3, "^family must"), (Family.BIPARTITE, 0, "^party size")):
+        with pytest.raises(ValueError, match=match):
+            IncrementOrder(family, n, ((1, 1),))
 
 
 def test_ruler_from_configuration_example():
