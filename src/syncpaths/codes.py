@@ -7,9 +7,9 @@ Catalan-many such codes.
 
 For the complete bipartite graph the encoding is a border pair ``(alpha,
 omega)``: row ``n`` of party one is linked exactly to party-two columns
-``alpha[n] .. omega[n]``.  Sentinels ``alpha = n+1`` / ``omega = 0`` encode
-empty rows.  Border pairs biject with staircase polyominoes counted by
-Narayana numbers.
+``alpha[n] .. omega[n]``.  An empty row has ``omega = alpha - 1``: columns
+1..omega lie below it.  Border pairs biject with staircase polyominoes counted
+by Narayana numbers.
 
 Encoding sweeps each sorted party once, comparing ``w - x[n]`` with eps.
 Rational input (ints and Fractions) is compared in integer units of one common
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import le
+from operator import le, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCodeError, NotTypicalError
@@ -45,7 +45,10 @@ _RATIONAL = {int, Fraction}  # input of exactly these types is swept in integer 
 # ---------------------------------------------------------------------------
 
 def validate_kn(code: Sequence[int]) -> KnCode:
-    code = tuple(code)
+    try:
+        code = tuple(code)
+    except TypeError:
+        raise InvalidCodeError(f"a code is a sequence of ints, got {code!r}") from None
     n = len(code)
     if n < 1:
         raise InvalidCodeError("empty code")
@@ -60,9 +63,12 @@ def validate_kn(code: Sequence[int]) -> KnCode:
 
 
 def validate_knn(code: tuple[Sequence[int], Sequence[int]]) -> KnnCode:
-    if len(code) != 2:
-        raise InvalidCodeError("a bipartite code is exactly two border vectors")
-    alpha, omega = tuple(code[0]), tuple(code[1])
+    try:
+        if len(code) != 2:
+            raise InvalidCodeError("a bipartite code is exactly two border vectors")
+        alpha, omega = tuple(code[0]), tuple(code[1])
+    except TypeError:
+        raise InvalidCodeError(f"a bipartite code is two sequences of ints, got {code!r}") from None
     n = len(alpha)
     if n < 1 or len(omega) != n:
         raise InvalidCodeError("border vectors must be nonempty and equal-length")
@@ -74,7 +80,7 @@ def validate_knn(code: tuple[Sequence[int], Sequence[int]]) -> KnnCode:
         raise InvalidCodeError(f"omega out of range: {omega}")
     if list(alpha) != sorted(alpha) or list(omega) != sorted(omega):
         raise InvalidCodeError(f"borders not nondecreasing: {alpha}, {omega}")
-    if any(a > w + 1 for a, w in zip(alpha, omega)):
+    if max(map(sub, alpha, omega)) > 1:
         raise InvalidCodeError(f"alpha exceeds omega+1: {alpha}, {omega}")
     return alpha, omega
 
@@ -104,13 +110,14 @@ def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, o
     all-rational input as ints in units of 1/lcm, scaled in one list."""
     values, unit, n = config.values, eps, config.spec.n
     if {type(eps), *map(type, values)} <= _RATIONAL:
-        ratios = [v.as_integer_ratio() for v in (eps, *values)]
-        scale = math.lcm(*[q for _, q in ratios])
-        unit, *values = [p * (scale // q) for p, q in ratios]
+        (p, q), ratios = eps.as_integer_ratio(), [v.as_integer_ratio() for v in values]
+        scale = math.lcm(q, *[d for _, d in ratios])
+        unit, values = p * (scale // q), [v * (scale // d) for v, d in ratios]
     check_positive(eps, unit=unit)
-    groups = [values[i:i + n] for i in range(0, len(values), n)]  # one group per party
-    if not all(all(map(le, g, g[1:])) for g in groups):
-        raise ValueError(unsorted)
+    groups = (values,) if len(values) == n else (values[:n], values[n:])  # one per party
+    for g in groups:
+        if not all(map(le, g, g[1:])):
+            raise ValueError(unsorted)
     return groups, unit
 
 
@@ -123,10 +130,10 @@ def encode_kn(config: Configuration, eps) -> KnCode:
     if config.spec.family is not Family.COMPLETE:
         raise ValueError("encode_kn needs a complete-graph configuration")
     (x,), eps = _sweep_input(config, eps, "configuration must be sorted ascending")
-    reach, code = 0, []
+    size, reach, code = len(x), 0, []
     for m, v in enumerate(x, start=1):
-        reach = max(reach, m)  # m reaches itself; w - v falls as v rises, so no fallback
-        while reach < len(x) and x[reach] - v <= eps:
+        reach = reach if reach > m else m  # m reaches itself; w - v falls as v rises: no fallback
+        while reach < size and x[reach] - v <= eps:
             reach += 1
         code.append(reach)
     return tuple(code)
@@ -201,13 +208,13 @@ def encode_knn(config: Configuration, eps) -> KnnCode:
     if config.spec.family is not Family.BIPARTITE:
         raise ValueError("encode_knn needs a bipartite configuration")
     (first, second), eps = _sweep_input(config, eps, "both parties must be sorted ascending")
-    # a row reaching no column gets alpha = n+1 and omega = 0, the sentinels
-    alpha, omega, lo, hi = [], [], 0, 0
+    # a row reaching no column gets omega = alpha - 1: columns 1..omega lie below it
+    alpha, omega, lo, hi, size, below = [], [], 0, 0, len(second), -eps
     for v in first:  # as in encode_kn, neither border falls back
-        while lo < len(second) and second[lo] - v < -eps:
+        while lo < size and second[lo] - v < below:
             lo += 1
-        hi = max(hi, lo)  # a column below lo has w - v < -eps, so it counts here too
-        while hi < len(second) and second[hi] - v <= eps:
+        hi = hi if hi > lo else lo  # a column below lo has w - v < -eps, so it counts here too
+        while hi < size and second[hi] - v <= eps:
             hi += 1
         alpha.append(lo + 1)
         omega.append(hi)

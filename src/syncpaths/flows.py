@@ -36,9 +36,9 @@ class KuramotoParams:
     crossing_tol: ClassVar[float] = _kernels.CROSSING_TOL
 
     def __post_init__(self) -> None:
-        for name in ("sigma", "step"):
-            if (value := getattr(self, name)) is not None:
-                check_positive(value, name)
+        check_positive(self.sigma, "sigma")
+        if self.step is not None:  # None: the default step below
+            check_positive(self.step, "step")
 
     def effective_step(self, eps: float, n: int) -> float:
         if self.step is not None:

@@ -50,6 +50,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -147,6 +148,14 @@ def _magnitudes(space: _ChainSpace, gaps: Sequence[int]) -> list[int]:
     return [prefix[hi] - prefix[lo] for lo, hi in space.windows]
 
 
+@lru_cache(maxsize=None)
+def _search_tables(windows: tuple[tuple[int, int], ...]):
+    """The containment masks and the exchange table of a space's windows, built once
+    per process and shared as tuples, so that no search can change them."""
+    return (tuple(_containment_masks(windows)),
+            tuple(map(tuple, _exchange_table(windows))))
+
+
 def _containment_masks(windows: Sequence[tuple[int, int]]) -> list[int]:
     """mask[i] = bitset of items whose window is strictly inside window i."""
     masks = [0] * len(windows)
@@ -222,8 +231,8 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     the chain tied above them: known to be above the chain, not to be above
     one another.  The parent is feasible, so only the relations "c below an
     item off the chain" are new, and only the pairs holding the new item c
-    are checked, in a table built once per search.  A refuted node is
-    skipped like an LP ``None``.
+    are checked, in a table built once per process (``_search_tables``).  A
+    refuted node is skipped like an LP ``None``.
 
     A node carries the tableau of the last LP on its path, solved for
     chain[:k] with chain[k] among its tails.  A child's LP copies it, adds
@@ -231,8 +240,7 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     The rows it keeps of older tails are implied by the child's (containment,
     gaps >= 1), so the region and the verdict are the child's.
     """
-    masks = _containment_masks(space.windows)
-    table = _exchange_table(space.windows)
+    masks, table = _search_tables(space.windows)
     rank = [len(masks)] * len(masks)  # off the chain: tied above it
     remaining = (1 << len(masks)) - 1
     for i, c in enumerate(prefix):
@@ -333,7 +341,7 @@ def _orbit_search(family: Family, n: int, balanced: bool = False, count: bool = 
         if first != key:
             found[key] = _mapped(found[first], perms[0])
         else:
-            masks = _containment_masks(space.windows)
+            masks, _table = _search_tables(space.windows)
             found[key] = search(space, masks, perms, (), (1 << len(masks)) - 1, len(orbit))
     if not count:
         return [(key, tuple(spaces[key][1][i] for i in chain))

@@ -16,9 +16,9 @@ overlapping column intervals, blocks are spaced 3*eps apart, and inside a
 block the first-party positions solve a small difference-constraint system
 ("rows sharing a column within 2*eps, rows sandwiching a column more than
 2*eps apart") by Bellman-Ford longest paths; second-party positions are
-then placed greedily inside their per-column windows.  Both builders count
-every coordinate in integers of a unit fixed before placement, and turn it
-into an exact ``Fraction`` once, at the output.
+then placed greedily inside their per-column windows.  Both builders read
+eps once, as its integer ratio, count every coordinate in integers of a unit
+fixed before placement, and build each distinct one's ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -26,11 +26,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .codes import KnCode, KnnCode, validate_kn, validate_knn
 from .errors import SyncPathsError
 from .graphs import Configuration, bipartite, check_positive, complete
+
+_complete, _bipartite = lru_cache(complete), lru_cache(bipartite)  # specs are frozen: one per n
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,8 @@ def witness_kn(code: KnCode, eps) -> Configuration:
     the product of the sibling-run lengths, so every share divides exactly.
     """
     code = validate_kn(code)
-    check_positive(eps)
-    eps = Fraction(eps)
+    check_positive(eps)  # then eps is read once, as the integer ratio of Fraction(eps)
+    num, den = (eps if type(eps) in (int, Fraction) else Fraction(eps)).as_integer_ratio()
     n = len(code)
     depth, kids = _depths_and_kids(code)
     unit = prod(filter(None, kids))  # eps in units
@@ -103,9 +106,8 @@ def witness_kn(code: KnCode, eps) -> Configuration:
             upper = x[p + 1] if same_tier else anchor - (depth[p] - 1) * unit
             share = (upper - x[p]) // kids[p]
             x[k] = upper - unit - share
-    shift = depth[1] * unit - anchor  # the first root sits at its tree's height * eps
-    num, den = eps.numerator, unit * eps.denominator
-    return Configuration(complete(n), tuple([Fraction((v + shift) * num, den) for v in x[1:]]))
+    shift, den = depth[1] * unit - anchor, den * unit  # first root: its tree's height * eps up
+    return Configuration(_complete(n), tuple([Fraction((v + shift) * num, den) for v in x[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +174,8 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
     columns, block by block, and the columns no row covers in between.
     """
     alpha, omega = validate_knn(code)
-    check_positive(eps)
-    eps = Fraction(eps)
+    check_positive(eps)  # as in witness_kn
+    num, den = (eps if type(eps) in (int, Fraction) else Fraction(eps)).as_integer_ratio()
     n = len(alpha)
     solved, top = [], 0  # per block: (rows lo..hi, retries k, row offsets, column spans)
     for lo, hi in _blocks(alpha, omega):
@@ -187,7 +189,7 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
                 k += 1
                 if k > 60:
                     raise SyncPathsError(f"no feasible ladder for block {lo}..{hi}")
-            top = max(top, k)
+            top = k if k > top else top
         solved.append((lo, hi, k, pos, spans))
     # every block is placed in the finest unit, eps/2**(3+k) for the largest k
     unit = 1 << (3 + top)  # eps in units
@@ -206,16 +208,17 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
             continue
         prev = x[lo] - unit  # each column's window reads only this block's rows
         for m, (s, r) in enumerate(spans, first):
-            lower = max(x[r] - unit, prev)
-            if s > lo:
-                lower = max(lower, x[s - 1] + unit + half)
-            upper = x[s] + unit
-            if r < hi:
-                upper = min(upper, x[r + 1] - unit - half)
+            lower, upper = x[r] - unit, x[s] + unit
+            lower = lower if lower > prev else prev
+            if s > lo and lower < (v := x[s - 1] + unit + half):
+                lower = v
+            if r < hi and upper > (v := x[r + 1] - unit - half):
+                upper = v
             if lower > upper:
                 raise SyncPathsError(f"empty window for column {m}")
             y[m] = prev = lower
     y[col:] = [x[n] + 3 * unit // 2] * (n + 1 - col)  # uncovered: 3*eps/2 above the last block
 
-    num, den = eps.numerator, unit * eps.denominator
-    return Configuration(bipartite(n), tuple([Fraction(v * num, den) for v in x[1:] + y[1:]]))
+    units, den = x[1:] + y[1:], unit * den
+    exact = {v: Fraction(v * num, den) for v in set(units)}  # a column often sits on a row
+    return Configuration(_bipartite(n), tuple(map(exact.__getitem__, units)))

@@ -51,14 +51,16 @@ def test_decode_kn_examples():
 
 
 def test_code_validation():
-    with pytest.raises(InvalidCodeError):
-        validate_kn((2, 1, 3))
-    with pytest.raises(InvalidCodeError):
-        validate_kn((1, 2, 4))
-    with pytest.raises(InvalidCodeError):
-        validate_knn(((1, 1), (2, 1)))  # omega decreasing
-    with pytest.raises(InvalidCodeError):
-        validate_knn(((3, 3), (1, 1)))  # alpha > omega + 1
+    # each refused by the same check, with the same message
+    for validate, code, message in (
+        (validate_kn, (2, 1, 3), "entry 2 out of range: 1"),
+        (validate_kn, (1, 2, 4), "entry 3 out of range: 4"),
+        (validate_knn, ((1, 1), (2, 1)), "borders not nondecreasing: (1, 1), (2, 1)"),
+        (validate_knn, ((3, 3), (1, 1)), "alpha exceeds omega+1: (3, 3), (1, 1)"),
+    ):
+        with pytest.raises(InvalidCodeError) as refused:
+            validate(code)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(
@@ -73,9 +75,14 @@ def test_code_validation():
         (validate_knn, ((1, 2), (1, True))),
         (validate_knn, ((1, 2),)),
         (validate_knn, ((1, 2), (1, 2), (9, 9))),
+        (validate_kn, 5),
+        (validate_knn, 5),
+        (validate_knn, None),
+        (validate_knn, ((1, 2), 5)),
     ],
     ids=["kn-floats", "kn-bool", "kn-fraction-valued", "kn-numpy-int", "kn-str",
-         "knn-float", "knn-bool", "knn-one-vector", "knn-three-vectors"],
+         "knn-float", "knn-bool", "knn-one-vector", "knn-three-vectors",
+         "kn-int", "knn-int", "knn-none", "knn-int-vector"],
 )
 def test_code_validation_refuses_non_int_entries_and_extra_vectors(validate, code):
     with pytest.raises(InvalidCodeError):

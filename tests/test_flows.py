@@ -646,9 +646,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         KuramotoParams(step=0)
     for field in ("sigma", "step"):
-        for bad in (math.nan, math.inf, 0.0, -1.0, True):
+        for bad in (math.nan, math.inf, 0.0, -1.0, True, "1", 1j):
             with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
                 KuramotoParams(**{field: bad})
+    with pytest.raises(ValueError, match="^sigma must be finite and > 0, got None$"):
+        KuramotoParams(sigma=None)  # step=None is the default step; sigma has none
     # every eps entry meets one check and one message before any work; the
     # int-valued K_{2,2} takes exact eps through the encoder's integer unit;
     # a bool is refused though 0 < True < inf
@@ -669,7 +671,8 @@ def test_params_validation():
         lambda e: witness_knn(((1, 2), (1, 2)), e),
     ]
     for entry in entries:
-        for bad in (math.nan, math.inf, 0.0, -1.0, 0, -1, Fraction(0), Fraction(-1), True):
+        for bad in (math.nan, math.inf, 0.0, -1.0, 0, -1, Fraction(0), Fraction(-1), True,
+                    "1", None, 1j):
             with pytest.raises(ValueError, match=rf"^eps must be finite and > 0, got {bad}$"):
                 entry(bad)
     assert KuramotoParams(sigma=1.0).effective_step(1e-3, 4) == pytest.approx(2.5e-5)

@@ -1,7 +1,9 @@
 import hashlib
 import json
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from syncpaths.codes import (
@@ -122,6 +124,23 @@ def test_witness_exactly_linear_in_eps(family, build, n):
         assert build(code, eps).values == tuple(eps * v for v in build(code, 1).values)
 
 
+@pytest.mark.parametrize(
+    "eps",
+    [1, 0.01, np.float64(0.01), Decimal("0.01"), np.int64(2)],
+    ids=["int", "float", "numpy-float", "decimal", "numpy-int"],
+)
+def test_witness_reads_eps_as_its_exact_fraction(eps):
+    # every accepted eps type gives the coordinates of Fraction(eps), value for value
+    exact = Fraction(eps)
+    for family, build, sizes in (
+        (Family.COMPLETE, witness_kn, range(1, 8)),
+        (Family.BIPARTITE, witness_knn, range(1, 5)),
+    ):
+        for n in sizes:
+            for code in CODES[family].codes(n):
+                assert build(code, eps).values == build(code, exact).values, (code, eps)
+
+
 def test_witness_scaling():
     for code in ((2, 2, 4, 4), (3, 4, 4, 4), (1, 3, 3)):
         a = witness_kn(code, Fraction(1, 50)).values
@@ -175,6 +194,8 @@ def test_witness_knn_scaling():
 def test_witness_refuses_non_int_codes():
     with pytest.raises(InvalidCodeError):
         witness_kn((1.5, 2), 1)
+    with pytest.raises(InvalidCodeError, match="^a code is a sequence of ints, got 5$"):
+        witness_kn(5, 1)
     with pytest.raises(InvalidCodeError):
         witness_knn(((1, 2), (1, 2), (9, 9)), 1)
 
@@ -184,6 +205,11 @@ def test_witness_rejects_bad_eps():
         witness_kn((1, 2), 0)
     with pytest.raises(ValueError):
         witness_knn(((1,), (1,)), Fraction(-1))
+    # what does not compare with numbers is refused by the same check, not a TypeError
+    for bad in ("1", None, 1j):
+        for build, code in ((witness_kn, (2, 2, 3)), (witness_knn, ((1,), (1,)))):
+            with pytest.raises(ValueError, match=rf"^eps must be finite and > 0, got {bad}$"):
+                build(code, bad)
 
 
 @pytest.mark.slow
