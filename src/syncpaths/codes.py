@@ -16,8 +16,9 @@ Rational input (ints and Fractions) is compared in integer units of one common
 denominator, exactly; float input as ``sync_subnetwork`` compares it, since
 ``w <= x[n] + eps`` can round otherwise.
 
-Each family's single-site moves are written once (``_kn_moves``, ``_knn_moves``):
-the diagram's arrows, the event replay (``apply_edge``) and the path walk read them.
+Each family's codes are one integer table, whose rows the enumerators return as tuples,
+and its single-site moves are written once per code (``_kn_moves``, ``_knn_moves``:
+``apply_edge`` and the path walk) and once per table (the diagram's arrows).
 ``CODES`` maps each family to one record of its code operations, so callers
 look an operation up instead of branching on the family.
 """
@@ -30,8 +31,10 @@ from itertools import combinations_with_replacement
 from operator import le, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import InvalidCodeError, NotTypicalError
-from .graphs import Configuration, Edge, Family, check_positive
+from .graphs import Configuration, Edge, Family, check_positive, complete
 
 KnCode = tuple[int, ...]
 KnnCode = tuple[tuple[int, ...], tuple[int, ...]]
@@ -105,6 +108,19 @@ def parse_code_text(text: str, family: Family) -> KnCode | KnnCode:
     )
 
 
+def _code_table(n: int, width: int, bounds) -> np.ndarray:
+    """Every code as a row of the smallest signed dtype, lexicographic: each prefix row is
+    repeated once per value lo..hi of column j, (lo, hi) = bounds(prefixes, j), in order."""
+    complete(n)  # GraphSpec's rule for n: exactly an int, >= 1
+    table = np.zeros((1, 0), np.min_scalar_type(-n - 2))
+    for j in range(width):
+        lo, hi = bounds(table, j)
+        runs = (hi + 1 - lo).astype(np.intp)
+        column = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - lo, runs)
+        table = np.column_stack((np.repeat(table, runs, axis=0), column.astype(table.dtype)))
+    return table
+
+
 def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, object]:
     """config.groups() and eps, checked sorted and by ``check_positive``;
     all-rational input as ints in units of 1/lcm, scaled in one list."""
@@ -149,18 +165,18 @@ def decode_kn(code: KnCode) -> frozenset[Edge]:
     )
 
 
+def _kn_table(n: int) -> np.ndarray:
+    """Every reach vector as a row: entry j+1 runs over max(j+1, entry j)..n."""
+    return _code_table(n, n, lambda t, j: (t[:, j - 1:j].max(1, initial=j + 1), n))
+
+
+def _kn_rows(table: np.ndarray) -> list[KnCode]:
+    return list(zip(*table.T.tolist()))
+
+
 def enumerate_phi_n(n: int) -> list[KnCode]:
     """All reach vectors for party size n, lexicographically sorted."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    code, out = list(range(1, n + 1)), []
-    while True:
-        out.append(tuple(code))
-        j = code.index(n) - 1  # the last entry below n, which the next code bumps
-        if j < 0:
-            return out
-        v = code[j] + 1  # then the least tail: entry i (1-based) becomes max(i, v)
-        code[j:] = [v] * (v - 1 - j) + [*range(v, n + 1)]
+    return _kn_rows(_kn_table(n))
 
 
 def catalan(n: int) -> int:
@@ -191,6 +207,12 @@ def _kn_moves(code: KnCode, sites: Iterable[int]) -> list[Move]:
                 out.append((s, 0, tuple(new), (s, v + 1)))
                 new[s - 1] = v
     return out
+
+
+def _kn_table_moves(t: np.ndarray) -> list:
+    """``_kn_moves`` on every row: (site, 0, column, mask of the rows that bump) per site."""
+    n = t.shape[1]
+    return [(s, 0, s - 1, t[:, s - 1] < (t[:, s] if s < n else n)) for s in range(1, n + 1)]
 
 
 def successors_kn(code: KnCode) -> list[tuple[int, KnCode]]:
@@ -232,21 +254,22 @@ def decode_knn(code: KnnCode) -> frozenset[Edge]:
     )
 
 
-def enumerate_phi_nn(n: int) -> list[KnnCode]:
-    """All border pairs for party size n, lexicographic in (alpha, omega).
+def _knn_table(n: int) -> np.ndarray:
+    """Every border pair as a row: alpha, nondecreasing over 1..n+1, then omega,
+    nondecreasing over max(alpha - 1, previous omega)..n."""
+    return _code_table(n, 2 * n, lambda t, j: (
+        (t[:, j - 1:j].max(1, initial=1), n + 1) if j < n
+        else (np.maximum(t[:, j - n] - 1, t[:, max(n, j - 1):j].max(1, initial=0)), n)))
 
-    Only valid omega are built (nondecreasing, omega[i] >= alpha[i] - 1), from the
-    last row up: tails[f] lists in order the valid rests of omega that start >= f."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for alpha in combinations_with_replacement(range(1, n + 2), n):
-        tails = [[()]] * (n + 1)
-        for a in reversed(alpha):
-            led = [[(v, *t) for t in tails[v]] for v in range(n + 1)]  # the tails led by v
-            tails = [[t for ts in led[max(f, a - 1):] for t in ts] for f in range(n + 1)]
-        out += [(alpha, omega) for omega in tails[0]]
-    return out
+
+def _knn_rows(table: np.ndarray) -> list[KnnCode]:
+    columns, n = table.T.tolist(), table.shape[1] // 2
+    return list(zip(zip(*columns[:n]), zip(*columns[n:])))
+
+
+def enumerate_phi_nn(n: int) -> list[KnnCode]:
+    """All border pairs for party size n, lexicographic in (alpha, omega)."""
+    return _knn_rows(_knn_table(n))
 
 
 def narayana_count(n: int) -> int:
@@ -280,6 +303,15 @@ def _knn_moves(code: KnnCode, sites: Iterable[int]) -> list[Move]:
                 out.append((s, +1, (alpha, tuple(hi)), (s, n + w + 1)))
                 hi[s - 1] = w
     return out
+
+
+def _knn_table_moves(t: np.ndarray) -> list:
+    """``_knn_moves`` on every row, in its order: per site, alpha's move down, omega's up."""
+    n = t.shape[1] // 2
+    return [move for s in range(1, n + 1) for move in (
+        (s, -1, s - 1, t[:, s - 1] > (t[:, s - 2] if s > 1 else 1)),
+        (s, 1, n + s - 1, t[:, n + s - 1] < (t[:, n + s] if s < n else n)),
+    )]
 
 
 def successors_knn(code: KnnCode) -> list[tuple[int, int, KnnCode]]:
@@ -359,8 +391,12 @@ class CodeFamily(NamedTuple):
     # decoded edge count, in closed form; the code is not validated, and the
     # bipartite form is exact only where alpha <= omega + 1 (every valid code)
     level: Callable[[Code], int]
+    validate: Callable[[object], Code]  # the code as tuples, or InvalidCodeError
     moves: Callable[[Code, Iterable[int]], list[Move]]  # the moves at the sites; not validated
-    codes: Callable[[int], list[Code]]  # every code for party size n
+    codes: Callable[[int], list[Code]]  # every code for party size n, lexicographic
+    table: Callable[[int], np.ndarray]  # the same codes as rows
+    rows: Callable[[np.ndarray], list[Code]]  # the codes of table rows
+    table_moves: Callable[[np.ndarray], list]  # (site, sign, column, rows' mask) per move
     count: Callable[[int], int]  # len(codes(n)), in closed form
     starts: Callable[[int], list[Code]]  # the empty-subnetwork codes
     sink: Callable[[int], Code]  # the complete-subnetwork code
@@ -371,8 +407,12 @@ CODES: dict[Family, CodeFamily] = {
         encode=encode_kn,
         text=kn_code_text,
         level=_kn_level,
+        validate=validate_kn,
         moves=_kn_moves,
         codes=enumerate_phi_n,
+        table=_kn_table,
+        rows=_kn_rows,
+        table_moves=_kn_table_moves,
         count=catalan,
         starts=lambda n: [tuple(range(1, n + 1))],
         sink=lambda n: (n,) * n,
@@ -381,8 +421,12 @@ CODES: dict[Family, CodeFamily] = {
         encode=encode_knn,
         text=knn_code_text,
         level=_knn_level,
+        validate=validate_knn,
         moves=_knn_moves,
         codes=enumerate_phi_nn,
+        table=_knn_table,
+        rows=_knn_rows,
+        table_moves=_knn_table_moves,
         count=narayana_count,
         starts=lambda n: [code for code, _flag in start_codes_knn(n)],
         sink=lambda n: ((1,) * n, (n,) * n),

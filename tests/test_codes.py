@@ -143,7 +143,7 @@ def test_enumerate_phi_n_matches_bruteforce():
 
 def test_catalan_counts():
     assert [catalan(n) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
-    assert all(len(enumerate_phi_n(n)) == catalan(n) for n in range(1, 9))
+    assert all(len(enumerate_phi_n(n)) == catalan(n) for n in range(1, 13))
 
 
 def test_encode_knn_examples():
@@ -182,6 +182,7 @@ def test_enumerate_phi_nn():
 
 
 def test_narayana_closed_form():
+    assert all(len(enumerate_phi_nn(n)) == narayana_count(n) for n in range(1, 7))
     for n in range(1, 8):
         assert narayana_count(n) == math.comb(2 * n + 1, n + 1) * math.comb(
             2 * n + 1, n

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from syncpaths import codes
@@ -16,7 +17,7 @@ from syncpaths.diagram import (
     kn_admissible_paths,
 )
 from syncpaths.distributions import f_kn, f_knn
-from syncpaths.errors import SizeGuardError
+from syncpaths.errors import InvalidCodeError, SizeGuardError
 from syncpaths.graphs import bipartite, complete
 
 
@@ -120,14 +121,45 @@ def test_admissible_path_counts():
     assert count_admissible_paths(build_diagram(complete(3)), (1, 2, 3)) == 2
     d = build_diagram(complete(4))
     assert count_admissible_paths(d, (4, 4, 4, 4)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCodeError):  # not a code at all
         count_admissible_paths(d, (9, 9, 9, 9))
+    with pytest.raises(ValueError, match="not a vertex"):  # a K_5 code
+        count_admissible_paths(d, (1, 2, 3, 4, 5))
     # identity to sink: standard Young tableaux of the staircase (n-1, ..., 1),
     # (n(n-1)/2)! over the hooks 2(n-i-j)+1 of its cells (i, j)
     for n in range(1, 10):
         hooks = math.prod(2 * (n - i - j) + 1 for i in range(1, n) for j in range(1, n - i + 1))
         want = math.factorial(n * (n - 1) // 2) // hooks
         assert count_admissible_paths(build_diagram(complete(n)), tuple(range(1, n + 1))) == want
+
+
+def test_count_reads_the_source_through_the_family_validator():
+    # a sequence counts as its tuple; a non-int entry or a non-code is refused as
+    # a code, not as an unhashable or absent key
+    d = build_diagram(complete(3))
+    assert count_admissible_paths(d, [1, 2, 3]) == count_admissible_paths(d, (1, 2, 3)) == 2
+    for bad in [(1, 2, 3.0), (1, 2, True), 5, ((1,), (0,))]:
+        with pytest.raises(InvalidCodeError):
+            count_admissible_paths(d, bad)
+    b = build_diagram(bipartite(2))
+    assert count_admissible_paths(b, [[1, 1], [0, 0]]) == count_admissible_paths(b, ((1, 1), (0, 0)))
+    for bad in [(1, 2, 3), ((1, 1), (0, 0.0))]:
+        with pytest.raises(InvalidCodeError):
+            count_admissible_paths(b, bad)
+    with pytest.raises(ValueError, match="not a vertex"):  # a K_{3,3} code
+        count_admissible_paths(b, ((1, 1, 1), (0, 0, 0)))
+
+
+@pytest.mark.parametrize("n", [True, 2.0, np.int64(2), 0, -1], ids=repr)
+@pytest.mark.parametrize(
+    "size_of", [codes.enumerate_phi_n, codes.enumerate_phi_nn, kn_admissible_paths],
+    ids=lambda f: f.__name__,
+)
+def test_sizes_follow_the_graph_spec_rule(size_of, n):
+    # GraphSpec's rule: exactly an int and at least 1, so True is not read as 1,
+    # nor 0 and -1 as the single empty path
+    with pytest.raises(ValueError, match="^(n must be an int|party size must be positive), got"):
+        size_of(n)
 
 
 def test_kn_count_closed_forms_match_the_diagram():
@@ -151,14 +183,14 @@ def test_build_orders_vertices_by_level_and_arrows_by_source():
         assert sources == [v for v in d.vertices if v != d.sink], spec
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [complete(n) for n in range(1, 9)] + [bipartite(n) for n in range(1, 5)],
-    ids=lambda spec: f"{spec.family.value}{spec.n}",
-)
+SPECS = [complete(n) for n in range(1, 11)] + [bipartite(n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.family.value}{spec.n}")
 def test_arrows_share_the_vertex_objects(spec):
     # no arrow holds a copy of a code: its source and target are vertices
-    # themselves, and each vertex's arrows are its moves with the edge dropped
+    # themselves, and each vertex's arrows are its moves with the edge dropped,
+    # so the table's move masks agree with the scalar move rule
     d = build_diagram(spec)
     own = {id(v) for v in d.vertices}
     assert all(id(a.source) in own and id(a.target) in own for a in d.arrows)
@@ -168,6 +200,16 @@ def test_arrows_share_the_vertex_objects(spec):
         arrows[a.source].append((a.site, a.sign, a.target))
     for v in d.vertices:
         assert arrows[v] == [move[:3] for move in moves(v, range(1, spec.n + 1))], v
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.family.value}{spec.n}")
+def test_vertex_entries_and_arrow_labels_are_ints(spec):
+    # exactly int, never a numpy integer, whose repr would change the pinned arrows
+    d = build_diagram(spec)
+    entries = {type(x) for v in d.vertices for x in (v if spec.family.value == "kn" else v[0] + v[1])}
+    labels = {type(x) for a in d.arrows for x in (a.site, a.sign)}
+    assert entries == {int} and labels <= {int}, spec
+    assert {type(v) for v in d.vertices} == {tuple}
 
 
 def test_path_counts_one_dp_per_diagram():
