@@ -179,7 +179,7 @@ def cmd_diagram(args) -> int:
     text = export_dot(diagram) if args.format == "dot" else export_json(diagram) + "\n"
     _write(text, args.out)
     print(
-        f"{len(diagram.vertices)} vertices, {len(diagram.arrows)} arrows, "
+        f"{len(diagram.vertices)} vertices, {len(diagram.targets)} arrows, "
         f"{len(diagram.starts)} start codes",
         file=sys.stderr,
     )

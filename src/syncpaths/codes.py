@@ -326,8 +326,7 @@ def start_codes_knn(n: int) -> list[tuple[KnnCode, bool]]:
     The two flagged codes encode party layouts whose party means are forced
     apart (one party entirely below the other).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    complete(n)  # GraphSpec's rule for n: exactly an int, >= 1
     flagged = {(1,) * n, (n + 1,) * n}
     return [
         ((alpha, tuple(a - 1 for a in alpha)), alpha in flagged)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SizeGuardError
-from .graphs import Family
+from .graphs import Family, bipartite, complete
 
 AreaPolynomial = list[int]  # coefficient vector, index = area statistic
 
@@ -110,21 +110,19 @@ def carlitz_polynomials(n: int) -> list[AreaPolynomial]:
     return _dyck_area_polynomials(n, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: f_kn(True) is not f_kn(1)'s entry
 def f_kn(n: int) -> LengthDistribution:
     """counts[l] = number of codes whose remaining path length is l (complete family)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    complete(n)  # GraphSpec's rule for n: exactly an int, >= 1
     _check_limit(Family.COMPLETE, n)
     (poly,) = _dyck_area_polynomials(n, n)
     return LengthDistribution(Family.COMPLETE, n, tuple(reversed(poly)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def f_knn(n: int) -> LengthDistribution:
     """Bipartite analogue via the border-pair column sweep."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    bipartite(n)  # GraphSpec's rule for n
     _check_limit(Family.BIPARTITE, n)
     # Every coefficient below counts distinct partial polyominoes of one area,
     # and each extends (border pair (lo, n+1) onwards) to a distinct complete

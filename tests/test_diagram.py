@@ -152,12 +152,16 @@ def test_count_reads_the_source_through_the_family_validator():
 
 @pytest.mark.parametrize("n", [True, 2.0, np.int64(2), 0, -1], ids=repr)
 @pytest.mark.parametrize(
-    "size_of", [codes.enumerate_phi_n, codes.enumerate_phi_nn, kn_admissible_paths],
+    "size_of",
+    [codes.enumerate_phi_n, codes.enumerate_phi_nn, kn_admissible_paths, start_codes_knn,
+     f_kn, f_knn],
     ids=lambda f: f.__name__,
 )
 def test_sizes_follow_the_graph_spec_rule(size_of, n):
     # GraphSpec's rule: exactly an int and at least 1, so True is not read as 1,
-    # nor 0 and -1 as the single empty path
+    # nor 0 and -1 as the single empty path; size 1 is computed first, so a
+    # cache entry for 1 cannot answer True
+    size_of(1)
     with pytest.raises(ValueError, match="^(n must be an int|party size must be positive), got"):
         size_of(n)
 
@@ -179,6 +183,7 @@ def test_build_orders_vertices_by_level_and_arrows_by_source():
         d = build_diagram(spec)
         levels = [d.level(v) for v in d.vertices]
         assert levels == sorted(levels), spec
+        assert d.vertices[-1] == d.sink, spec  # the path-count DP starts from it
         sources = [s for s, _ in itertools.groupby(a.source for a in d.arrows)]
         assert sources == [v for v in d.vertices if v != d.sink], spec
 
@@ -250,7 +255,7 @@ def test_start_codes_knn():
     n1 = start_codes_knn(1)
     assert len(n1) == 2 and all(f for _, f in n1)
     for n in (0, -1):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="^party size must be positive, got"):
             start_codes_knn(n)
 
 
@@ -314,3 +319,61 @@ def test_arrows_pinned_hashable_and_frozen():
     assert {arrow: 1}[arrow] == 1
     with pytest.raises(AttributeError):
         arrow.site = 2
+
+
+def test_arrows_view_pinned_in_run_order():
+    # sha256 of the repr of the arrows as built, source by source
+    pins = {
+        complete(7): "0366d6cbf7c0e8b7a31e071f8d668634bd15ebf5f71855dab6eba0bcc500e147",
+        bipartite(3): "0954305d7fa3574eecee5e1c0cef632f5037d646c8036d19ef61db0995e6bf97",
+    }
+    for spec, digest in pins.items():
+        d = build_diagram(spec)
+        assert hashlib.sha256(repr(d.arrows).encode()).hexdigest() == digest, spec
+        assert d.arrows is d.arrows  # made once, on request
+
+
+def test_diagrams_of_one_spec_are_equal():
+    # the arrow runs follow from the spec, so they take no part in ==, hash or repr
+    a, b = build_diagram(bipartite(3)), build_diagram(bipartite(3))
+    assert a == b and hash(a) == hash(b)
+    assert a != build_diagram(bipartite(2))
+    assert repr(a) == repr(b) and "array" not in repr(a)
+
+
+def test_counts_and_exports_make_no_arrow():
+    d = build_diagram(complete(6))
+    assert sum(count_admissible_paths(d, s) for s in d.starts) == kn_admissible_paths(6)
+    export_dot(d)
+    export_json(d)
+    assert "arrows" not in vars(d)
+
+
+def _reference_exports(d):
+    """DOT and JSON from d.arrows: vertices sorted by (level, text), then each
+    source's run of arrows, grouped as built, sorted by its targets' text."""
+    text = {v: d.code_text(v) for v in d.vertices}
+    keyed = sorted((d.level(v), text[v], v) for v in d.vertices)
+    runs = {s: sorted(run, key=lambda a: text[a.target])
+            for s, run in itertools.groupby(d.arrows, key=lambda a: a.source)}
+    arrows = [a for _, _, v in keyed for a in runs.get(v, ())]
+    dot = ["digraph sync_diagram {", *(f'  "{t}";' for _, t, _ in keyed)]
+    for a in arrows:
+        label = f"n={a.site}" if a.sign == 0 else f"n={a.site},q={a.sign:+d}"
+        dot.append(f'  "{text[a.source]}" -> "{text[a.target]}" [label="{label}"];')
+    payload = {
+        "spec": {"family": d.spec.family.value, "n": d.spec.n},
+        "vertices": [{"code": t, "level": level} for level, t, _ in keyed],
+        "arrows": [{"from": text[a.source], "to": text[a.target], "site": a.site, "sign": a.sign}
+                   for a in arrows],
+    }
+    return "\n".join(dot) + "\n}\n", json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "spec", [complete(n) for n in range(1, 9)] + [bipartite(n) for n in range(1, 5)],
+    ids=lambda spec: f"{spec.family.value}{spec.n}",
+)
+def test_exports_match_a_formatter_over_the_arrows(spec):
+    d = build_diagram(spec)
+    assert (export_dot(d), export_json(d)) == _reference_exports(d)
