@@ -16,11 +16,12 @@ Rational input (ints and Fractions) is compared in integer units of one common
 denominator, exactly; float input as ``sync_subnetwork`` compares it, since
 ``w <= x[n] + eps`` can round otherwise.
 
-Each family's codes are one integer table, whose rows the enumerators return as tuples,
-and its single-site moves are written once per code (``_kn_moves``, ``_knn_moves``:
-``apply_edge`` and the path walk) and once per table (the diagram's arrows).
-``CODES`` maps each family to one record of its code operations, so callers
-look an operation up instead of branching on the family.
+Each family's codes are one integer table, whose rows the enumerators return as tuples.
+Its single-site move rule (``_kn_moves``, ``_knn_moves``) is written once, over the
+table's columns: on one code's entries it says which moves exist (``CodeFamily.code_moves``
+makes them: ``apply_edge``, the path walk, ``successors_*``), on ``table.T`` which rows
+make each move (the diagram's arrows).  ``CODES`` maps each family to one record of
+its code operations, so callers look an operation up instead of branching on the family.
 """
 
 from __future__ import annotations
@@ -192,33 +193,21 @@ def dyck_area(code: KnCode) -> int:
     return _kn_level(validate_kn(code))
 
 
-def _kn_moves(code: KnCode, sites: Iterable[int]) -> list[Move]:
-    """The bumps at sites: code[s] + 1 joins s, wherever code[s] < code[s + 1].
-    The first bump copies the code into one list, which every bump changes, copies
-    into its new code and restores (faster than tuple slices or a list per bump)."""
-    n, out, new = len(code), [], None
+def _kn_moves(cols, sites: Iterable[int]) -> list:
+    """The bumps at sites in 1..n: code[s] + 1 joins s where code[s] < code[s + 1] (or n),
+    as (site, 0, column s - 1, a bool on one code's entries, a row mask on ``table.T``)."""
+    n, out = len(cols), []
     for s in sites:
-        if 0 < s < n:
-            v = code[s - 1]
-            if v < code[s]:
-                if new is None:
-                    new = list(code)
-                new[s - 1] = v + 1
-                out.append((s, 0, tuple(new), (s, v + 1)))
-                new[s - 1] = v
+        if 0 < s <= n:
+            out.append((s, 0, s - 1, cols[s - 1] < (cols[s] if s < n else n)))
     return out
-
-
-def _kn_table_moves(t: np.ndarray) -> list:
-    """``_kn_moves`` on every row: (site, 0, column, mask of the rows that bump) per site."""
-    n = t.shape[1]
-    return [(s, 0, s - 1, t[:, s - 1] < (t[:, s] if s < n else n)) for s in range(1, n + 1)]
 
 
 def successors_kn(code: KnCode) -> list[tuple[int, KnCode]]:
     """Single-site bumps (site, new code); exactly the sites with code[n] < code[n+1]."""
     code = validate_kn(code)
-    return [(site, nxt) for site, _, nxt, _ in _kn_moves(code, range(1, len(code)))]
+    moves = CODES[Family.COMPLETE].code_moves(code, range(1, len(code)))
+    return [(site, nxt) for site, _, nxt, _ in moves]
 
 
 # ---------------------------------------------------------------------------
@@ -282,42 +271,23 @@ def _knn_level(code: KnnCode) -> int:
     return sum(omega) - sum(alpha) + len(alpha)
 
 
-def _knn_moves(code: KnnCode, sites: Iterable[int]) -> list[Move]:
+def _knn_moves(cols, sites: Iterable[int]) -> list:
     """Row s gains the column below alpha (sign -1) or above omega (+1), borders monotone.
-    As in ``_kn_moves``, a border's first move copies it into one list."""
-    alpha, omega = code
-    n, out, lo, hi = len(alpha), [], None, None
+    On alpha + omega as in ``_kn_moves``: per site in 1..n, alpha's column s - 1 falls,
+    then omega's column n + s - 1 rises."""
+    n, out = len(cols) // 2, []
     for s in sites:
         if 0 < s <= n:
-            a, w = alpha[s - 1], omega[s - 1]
-            if a > 1 and (s == 1 or a > alpha[s - 2]):
-                if lo is None:
-                    lo = list(alpha)
-                lo[s - 1] = a - 1
-                out.append((s, -1, (tuple(lo), omega), (s, n + a - 1)))
-                lo[s - 1] = a
-            if w < n and (s == n or w < omega[s]):
-                if hi is None:
-                    hi = list(omega)
-                hi[s - 1] = w + 1
-                out.append((s, +1, (alpha, tuple(hi)), (s, n + w + 1)))
-                hi[s - 1] = w
+            out += ((s, -1, s - 1, cols[s - 1] > (cols[s - 2] if s > 1 else 1)),
+                    (s, 1, n + s - 1, cols[n + s - 1] < (cols[n + s] if s < n else n)))
     return out
-
-
-def _knn_table_moves(t: np.ndarray) -> list:
-    """``_knn_moves`` on every row, in its order: per site, alpha's move down, omega's up."""
-    n = t.shape[1] // 2
-    return [move for s in range(1, n + 1) for move in (
-        (s, -1, s - 1, t[:, s - 1] > (t[:, s - 2] if s > 1 else 1)),
-        (s, 1, n + s - 1, t[:, n + s - 1] < (t[:, n + s] if s < n else n)),
-    )]
 
 
 def successors_knn(code: KnnCode) -> list[tuple[int, int, KnnCode]]:
     """Single-site moves (site, sign, new code) staying inside the code family."""
     code = validate_knn(code)
-    return [(s, q, nxt) for s, q, nxt, _ in _knn_moves(code, range(1, len(code[0]) + 1))]
+    moves = CODES[Family.BIPARTITE].code_moves(code, range(1, len(code[0]) + 1))
+    return [(s, q, nxt) for s, q, nxt, _ in moves]
 
 
 def start_codes_knn(n: int) -> list[tuple[KnnCode, bool]]:
@@ -391,14 +361,34 @@ class CodeFamily(NamedTuple):
     # bipartite form is exact only where alpha <= omega + 1 (every valid code)
     level: Callable[[Code], int]
     validate: Callable[[object], Code]  # the code as tuples, or InvalidCodeError
-    moves: Callable[[Code, Iterable[int]], list[Move]]  # the moves at the sites; not validated
+    # the move rule at the sites over table columns: (site, sign, column, movable) per
+    # move, movable a bool on one code's entries, a mask on table.T; not validated
+    moves: Callable[[Sequence, Iterable[int]], list]
     codes: Callable[[int], list[Code]]  # every code for party size n, lexicographic
     table: Callable[[int], np.ndarray]  # the same codes as rows
     rows: Callable[[np.ndarray], list[Code]]  # the codes of table rows
-    table_moves: Callable[[np.ndarray], list]  # (site, sign, column, rows' mask) per move
+    columns: Callable[[Code], Sequence[int]]  # a code's entries, as its table row
+    from_columns: Callable[[list[int]], Code]  # the code of a row's entries
+    parties: int  # a row holds n entries per party; an edge ends in the last party
     count: Callable[[int], int]  # len(codes(n)), in closed form
     starts: Callable[[int], list[Code]]  # the empty-subnetwork codes
     sink: Callable[[int], Code]  # the complete-subnetwork code
+
+    def code_moves(self, code: Code, sites: Iterable[int], end: int | None = None) -> list[Move]:
+        """The moves of code at sites (with end, only the one whose edge ends there), not
+        validated: each column the rule moves steps by its sign (+1 for sign 0) and adds
+        the edge from the site to its new value, numbered past the parties before the
+        last (K_n: 0, K_{n,n}: n)."""
+        cols, out = self.columns(code), []
+        offset = len(cols) - len(cols) // self.parties
+        for site, sign, column, movable in self.moves(cols, sites):
+            if movable:
+                value = cols[column] + (sign or 1)
+                if end is None or end == offset + value:
+                    new = list(cols)
+                    new[column] = value
+                    out.append((site, sign, self.from_columns(new), (site, offset + value)))
+        return out
 
 
 CODES: dict[Family, CodeFamily] = {
@@ -411,7 +401,9 @@ CODES: dict[Family, CodeFamily] = {
         codes=enumerate_phi_n,
         table=_kn_table,
         rows=_kn_rows,
-        table_moves=_kn_table_moves,
+        columns=tuple,
+        from_columns=tuple,
+        parties=1,
         count=catalan,
         starts=lambda n: [tuple(range(1, n + 1))],
         sink=lambda n: (n,) * n,
@@ -425,7 +417,9 @@ CODES: dict[Family, CodeFamily] = {
         codes=enumerate_phi_nn,
         table=_knn_table,
         rows=_knn_rows,
-        table_moves=_knn_table_moves,
+        columns=lambda code: code[0] + code[1],
+        from_columns=lambda cols: (tuple(cols[:len(cols) // 2]), tuple(cols[len(cols) // 2:])),
+        parties=2,
         count=narayana_count,
         starts=lambda n: [code for code, _flag in start_codes_knn(n)],
         sink=lambda n: ((1,) * n, (n,) * n),
@@ -435,7 +429,6 @@ CODES: dict[Family, CodeFamily] = {
 
 def apply_edge(family: Family, code: Code, edge: Edge) -> Move:
     """The move of code that adds edge, whose first end is the move's site."""
-    for move in CODES[family].moves(code, (edge[0],)):
-        if move[3] == edge:
-            return move
+    for move in CODES[family].code_moves(code, (edge[0],), edge[1]):
+        return move
     raise NotTypicalError(f"edge {edge} is not a single-site move of {code}")

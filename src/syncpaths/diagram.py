@@ -97,6 +97,7 @@ def guarded_code_count(spec: GraphSpec) -> int:
 
 def build_diagram(spec: GraphSpec) -> TransitionDiagram:
     """Materialize the full diagram for the family (guarded by code count).
+    The family's move rule, read on ``table.T``, masks the rows that make each move.
     Each table column moves by one step (its sign, or +1) and adds one edge, so steps
     times entries is the level up to a constant.  Mixed-radix keys (base n + 2) ascend
     down the lexicographic table and a move adds its step's weight, so ``searchsorted``
@@ -106,7 +107,7 @@ def build_diagram(spec: GraphSpec) -> TransitionDiagram:
     table = family.table(spec.n)
     base, width = spec.n + 2, table.shape[1]
     assert base**width <= np.iinfo(np.int64).max, "row keys must fit in int64"
-    site, sign, column, masks = map(np.array, zip(*family.table_moves(table)))
+    site, sign, column, masks = map(np.array, zip(*family.moves(table.T, range(1, spec.n + 1))))
     step = np.where(sign, sign, 1)
     order = np.argsort(table[:, column] @ step, kind="stable")
     index = np.empty(len(order), np.int32)  # the guard keeps vertex indices small

@@ -97,13 +97,14 @@ class IncrementOrder:
         if len(labels) > (size * (size - 1) // 2 if complete else size**2):
             raise ValueError("too many labels for the family")
         if complete:
-            for n, k in labels:
-                if not (1 <= n and 1 <= k and n + k <= size):
-                    raise ValueError(f"label out of range: {(n, k)}")
+            for n, k in labels:  # exactly ints: True is not 1, nor 1.0
+                if not (type(n) is type(k) is int and 1 <= n and 1 <= k and n + k <= size):
+                    raise ValueError(f"label not ints in range: {(n, k)}")
         else:
             for n, m, q in labels:
-                if not (1 <= n <= size and 1 <= m <= size and q in (-1, 1)):
-                    raise ValueError(f"label out of range: {(n, m, q)}")
+                if not (type(n) is type(m) is type(q) is int
+                        and 1 <= n <= size and 1 <= m <= size and q in (-1, 1)):
+                    raise ValueError(f"label not ints in range: {(n, m, q)}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +300,9 @@ def _orbit_search(family: Family, n: int, balanced: bool = False, count: bool = 
     """The family's feasible orders as (space key, labels) pairs in search order, or
     with count their number.  The spaces are K_n's one (key ()) or K_{n,n}'s
     arrangements; a symmetry is a (key map, item permutation) pair."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    GraphSpec(family, n)  # GraphSpec's rule for n: exactly an int, >= 1
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ValueError(f"jobs must be None or an int >= 1, got {jobs!r}")
     limit = COUNT_LIMIT if family is Family.COMPLETE else ORDERING_LIMIT_KNN
     if n > limit:
         raise SizeGuardError(f"the {family.value} ordering search is guarded to n <= {limit}")
@@ -404,7 +406,7 @@ class GolombBounds(NamedTuple):
 
 def golomb_bounds(n: int) -> GolombBounds:
     """Exact bounds on the Golomb class count."""
-    if n < 2:
+    if complete(n).n < 2:  # GraphSpec's rule first: exactly an int, >= 1
         raise ValueError("n must be >= 2")
     lower = math.factorial(n - 1)
     upper_factorial = math.factorial(math.comb(n, 2))
@@ -419,7 +421,7 @@ def knn_path_upper_bound(n: int) -> int:
 
     Golomb(2n) comes from GOLOMB_TABLE, so n >= 5 raises SizeGuardError.
     """
-    if 2 * n not in GOLOMB_TABLE:
+    if 2 * bipartite(n).n not in GOLOMB_TABLE:  # GraphSpec's rule first
         raise SizeGuardError(
             f"the interleaving bound at n={n} needs Golomb({2 * n}), "
             f"known only up to Golomb({max(GOLOMB_TABLE)})"
@@ -610,10 +612,13 @@ def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
 # ---------------------------------------------------------------------------
 
 def _walk(family: Family, code, steps: Sequence[tuple[int, int]]) -> list[Move]:
-    """The moves of a (site, sign) path from code; an inadmissible step raises."""
-    rule, moves = CODES[family].moves, []
+    """The moves of a (site, sign) path from code; a step not of two ints raises
+    ValueError before any move, an inadmissible step SyncPathsError."""
+    steps, record, moves = tuple(steps), CODES[family], []
+    if not all(type(site) is type(sign) is int for site, sign in steps):
+        raise ValueError(f"a path step is a (site, sign) pair of ints, got {steps}")
     for site, sign in steps:
-        for move in rule(code, (site,)):
+        for move in record.code_moves(code, (site,)):
             if move[1] == sign:
                 break
         else:

@@ -327,6 +327,19 @@ def test_apply_edge_rejects_non_moves(family, code, edge):
         apply_edge(family, code, edge)
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_apply_edge_refuses_sites_outside_the_party(family):
+    # sites 0, -1 and n+1 index no column: whatever the edge's other end, no
+    # move is found there, none wraps round to the code's last entries, and
+    # none reads past them
+    n = 3
+    for code in CODES[family].codes(n):
+        for site in (0, -1, n + 1):
+            for end in range(-2 * n - 2, 2 * n + 3):
+                with pytest.raises(NotTypicalError):
+                    apply_edge(family, code, (site, end))
+
+
 def _oracle_encode_kn(config, eps):
     """Reference reach vector: the sweep on the values as given."""
     if config.spec.family is not Family.COMPLETE:

@@ -19,6 +19,12 @@ from syncpaths.diagram import (
 from syncpaths.distributions import f_kn, f_knn
 from syncpaths.errors import InvalidCodeError, SizeGuardError
 from syncpaths.graphs import bipartite, complete
+from syncpaths.realizability import (
+    count_realizable_paths_kn,
+    enumerate_realizable_orderings_knn,
+    golomb_bounds,
+    knn_path_upper_bound,
+)
 
 
 def test_successors_kn_examples():
@@ -154,14 +160,15 @@ def test_count_reads_the_source_through_the_family_validator():
 @pytest.mark.parametrize(
     "size_of",
     [codes.enumerate_phi_n, codes.enumerate_phi_nn, kn_admissible_paths, start_codes_knn,
-     f_kn, f_knn],
+     f_kn, f_knn, count_realizable_paths_kn, enumerate_realizable_orderings_knn,
+     golomb_bounds, knn_path_upper_bound],
     ids=lambda f: f.__name__,
 )
 def test_sizes_follow_the_graph_spec_rule(size_of, n):
     # GraphSpec's rule: exactly an int and at least 1, so True is not read as 1,
-    # nor 0 and -1 as the single empty path; size 1 is computed first, so a
-    # cache entry for 1 cannot answer True
-    size_of(1)
+    # nor 0 and -1 as the single empty path; the smallest size is computed first,
+    # so a cache entry for 1 cannot answer True (golomb_bounds starts at 2)
+    size_of(2 if size_of is golomb_bounds else 1)
     with pytest.raises(ValueError, match="^(n must be an int|party size must be positive), got"):
         size_of(n)
 
@@ -195,11 +202,11 @@ SPECS = [complete(n) for n in range(1, 11)] + [bipartite(n) for n in range(1, 6)
 def test_arrows_share_the_vertex_objects(spec):
     # no arrow holds a copy of a code: its source and target are vertices
     # themselves, and each vertex's arrows are its moves with the edge dropped,
-    # so the table's move masks agree with the scalar move rule
+    # so the move rule read on the table's columns agrees with it read on one code
     d = build_diagram(spec)
     own = {id(v) for v in d.vertices}
     assert all(id(a.source) in own and id(a.target) in own for a in d.arrows)
-    moves = codes.CODES[spec.family].moves
+    moves = codes.CODES[spec.family].code_moves
     arrows = {v: [] for v in d.vertices}
     for a in d.arrows:
         arrows[a.source].append((a.site, a.sign, a.target))

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from syncpaths.codes import start_codes_knn, successors_knn
 from syncpaths.errors import NotTypicalError, SyncPathsError
 from syncpaths.graphs import Configuration, Family, bipartite, complete
 from syncpaths.realizability import (
@@ -124,6 +125,87 @@ def test_path_to_ordering_knn_moves():
     for bad in ((1, -1), (3, +1), (1, 0)):  # alpha at 1, site beyond n, no sign
         with pytest.raises(SyncPathsError):
             path_to_ordering_knn(((1, 1), (0, 0)), (bad,))
+
+
+def _knn_move_paths(code):
+    """Every admissible (site, sign) path from code to the sink."""
+    nxt = successors_knn(code)
+    if not nxt:
+        yield ()
+    for site, sign, target in nxt:
+        for rest in _knn_move_paths(target):
+            yield ((site, sign),) + rest
+
+
+def _knn_sampled_paths(n, count, seed):
+    """count random walks, each from a random start code to the sink."""
+    rng = random.Random(seed)
+    starts = [code for code, _flag in start_codes_knn(n)]
+    out = []
+    for _ in range(count):
+        code = start = rng.choice(starts)
+        path = []
+        while nxt := successors_knn(code):
+            site, sign, code = rng.choice(nxt)
+            path.append((site, sign))
+        out.append((start, tuple(path)))
+    return out
+
+
+def test_knn_path_walk_pinned():
+    # the bipartite move rule, read through the path walk: every K_{2,2} path
+    # from every start code, and 200 seeded K_{3,3} walks, labels in order
+    k22 = [[list(label) for label in path_to_ordering_knn(start, path).labels]
+           for start, _flag in start_codes_knn(2) for path in _knn_move_paths(start)]
+    k33 = [[list(label) for label in path_to_ordering_knn(start, path).labels]
+           for start, path in _knn_sampled_paths(3, 200, seed=32)]
+    assert len(k22) == 32 and k22[0] == [[2, 1, 1], [1, 1, 1], [2, 2, 1], [1, 2, 1]]
+    assert _sha256_json(k22) == "b75b53e79cd60077e1e636acc239a6a7b8fa1d790dbd1b48d05d751ef3c3e515"
+    assert _sha256_json(k33) == "6ec6ab9d2438eea8c9c13b810df21f5c57f7636c627b7040842dc5d195ba0428"
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_path_steps_are_exactly_ints(family):
+    # a bool or float site (or sign) is refused before any move, even after an
+    # inadmissible step; a site outside 1..n is an inadmissible move
+    n = 3
+    if family is Family.COMPLETE:
+        def walk(*steps):
+            return path_to_ordering_kn((1, 2, 3), [site for site, _sign in steps])
+        sign = 0
+    else:
+        def walk(*steps):
+            return path_to_ordering_knn(((1, 2, 3), (0, 1, 2)), steps)
+        sign = 1
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="pair of ints"):
+                walk((1, bad))
+    assert walk((1, sign)).labels[0][:2] == (1, 1)
+    for site in (True, 1.0, 2.0):
+        with pytest.raises(ValueError, match="pair of ints"):
+            walk((site, sign))
+        with pytest.raises(ValueError, match="pair of ints"):
+            walk((n + 1, sign), (site, sign))
+    for site in (0, -1, n + 1):
+        with pytest.raises(SyncPathsError, match="inadmissible"):
+            walk((site, sign))
+
+
+def test_order_labels_are_exactly_ints():
+    # to_json would write True as true, and verify_witness would index by 1.0
+    for labels in [((1.0, 1),), ((True, 1),), ((1, np.int64(1)),)]:
+        with pytest.raises(ValueError, match="not ints"):
+            IncrementOrder(Family.COMPLETE, 4, labels)
+    for labels in [((1, 1, True),), ((1, 1.0, 1),), ((True, 1, -1),)]:
+        with pytest.raises(ValueError, match="not ints"):
+            IncrementOrder(Family.BIPARTITE, 2, labels)
+    assert IncrementOrder(Family.COMPLETE, 4, ((1, 1),)).to_json() == "[[1, 1]]"
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.0, True, "2"], ids=repr)
+def test_jobs_is_none_or_a_positive_int(jobs):
+    with pytest.raises(ValueError, match="jobs must be None or an int >= 1"):
+        count_realizable_paths_kn(4, jobs=jobs)
 
 
 def test_golomb_counts_small():
@@ -410,7 +492,7 @@ def test_count_size_guard(monkeypatch):
     for enumerate_orderings in (enumerate_realizable_orderings_kn,
                                 enumerate_realizable_orderings_knn):
         for n in (0, -1):
-            with pytest.raises(ValueError, match="n must be >= 1"):
+            with pytest.raises(ValueError, match="party size must be positive"):
                 enumerate_orderings(n)
     with pytest.raises(SizeGuardError, match="interleaving bound"):
         knn_path_upper_bound(5)  # needs the unavailable Golomb(10)
