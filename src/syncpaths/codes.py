@@ -428,7 +428,10 @@ CODES: dict[Family, CodeFamily] = {
 
 
 def apply_edge(family: Family, code: Code, edge: Edge) -> Move:
-    """The move of code that adds edge, whose first end is the move's site."""
+    """The move of code that adds edge, whose first end is the move's site, exactly an
+    int (True is not 1, nor 1.0): else ValueError before any move."""
+    if type(edge[0]) is not int:
+        raise ValueError(f"an edge's site must be an int, got {edge[0]!r}")
     for move in CODES[family].code_moves(code, (edge[0],), edge[1]):
         return move
     raise NotTypicalError(f"edge {edge} is not a single-site move of {code}")

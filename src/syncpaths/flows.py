@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ class OrderParameter:
     theta: float
 
 
-@dataclass(frozen=True)
-class SyncEvent:
+class SyncEvent(NamedTuple):
     t: float
     site: int
     sign: int  # 0 for the complete family, else -1 / +1
@@ -155,7 +154,7 @@ def _sequence(config: Configuration, eps, timed_edges, *args) -> SyncSequence:
         site, sign, code, _ = apply_edge(config.spec.family, code, edge)
         if sign * direction < 0:
             raise SyncPathsError(f"edge {edge} joined from the side opposite its sign")
-        events.append(SyncEvent(t=t, site=site, sign=sign, edge=edge))
+        events.append(SyncEvent(t, site, sign, edge))
     return SyncSequence(config.spec, float(eps), initial, tuple(events), code)
 
 

@@ -26,7 +26,8 @@ m(I) + m(J) < m(K) + m(L) strictly.  In the chain search the chain's items
 are ranked in order and every item off the chain ties above them all (an
 open tail is above the chain by its LP row, any other item contains one);
 two tied items are never below one another.  ``feasible`` on K_n applies the
-rule to an order's own items.  A refuted node is skipped as an infeasible LP
+same test to an order's own items, ranked by position, every other item ranked
+nan: below and above nothing.  A refuted node is skipped as an infeasible LP
 would be, so every remaining solve is unchanged.
 
 ``_orbit_search`` runs ``_chains`` on one member of each symmetry orbit.  A
@@ -34,14 +35,15 @@ symmetry is a vertex map that keeps every magnitude: the reflection
 x'_i = -x_{n+1-i}, which on K_n maps (a, k) to (n+1-a-k, k) and on K_{n,n}
 maps (r, c, q) to (n+1-r, n+1-c, -q), and on K_{n,n} the party swap
 (r, c, q) -> (c, r, -q); it maps the chains below a prefix onto those below
-its image.  K_n is one search space; K_{n,n} has one per arrangement, and
-one with an earlier orbit member (``arrangements`` order) renames its chains.
-A node (space, prefix) has as stabilizer the symmetries that map the space
-onto itself and fix every prefix item.  While that is not empty, the node
-branches only on open items least in their orbit under it: the others'
-chains are a representative's renamed, and a count weights it by the
-orbit's size.  Then, or at a full prefix (whose LP it checks), ``_chains``
-searches plainly; a parallel count splits each such search one item deeper.
+its image.  An item is a graph edge and a search space a vertex arrangement
+(``_space``): K_n has one, 1..n; K_{n,n} has one per interleaving of its
+parties, and one with an earlier orbit member (``arrangements`` order) renames
+its chains.  A node (space, prefix) has as stabilizer the symmetries that map
+the space onto itself and fix every prefix item.  While that is not empty, the
+node branches only on open items least in their orbit under it: the others'
+chains are a representative's renamed, and a count weights it by the orbit's
+size.  Then, or at a full prefix (whose LP it checks), ``_chains`` searches
+plainly; a parallel count splits each such search one item deeper.
 """
 
 from __future__ import annotations
@@ -196,10 +198,11 @@ def _exchange_table(windows: Sequence[tuple[int, int]]) -> list[list[tuple[int, 
 
 def _exchanged(table: Sequence[Sequence[tuple[int, int, int]]], rank: Sequence[int],
                c: int) -> bool:
-    """Whether item c, ranked last of the chain with every item off it tied above,
-    closes an exchange: {c, j} and {k, l} of one form with c below k and j below l
-    (or c below l and j below k).  Then m(c) + m(j) < m(k) + m(l), though both sides
-    are one form of the gaps, so no configuration has the order."""
+    """Whether item c closes an exchange: {c, j} and {k, l} of one form with c below
+    k and j below l (or c below l and j below k), by rank; in the chain search c is
+    ranked last of the chain with every item off it tied above.  Then
+    m(c) + m(j) < m(k) + m(l), though both sides are one form of the gaps, so no
+    configuration has the order."""
     rc = rank[c]
     for j, k, l in table[c]:
         rj = rank[j]
@@ -289,29 +292,62 @@ def _mapped(chains: Iterable[tuple[int, ...]], perm: Sequence[int]) -> list[tupl
     return sorted(tuple(perm[i] for i in chain) for chain in chains)
 
 
-def _item_permutation(pairs: Sequence[tuple[int, int]], vertex) -> list[int]:
-    """perm[i] = index of the image of item i, a vertex pair, under the vertex map."""
-    index = {frozenset(p): i for i, p in enumerate(pairs)}
-    return [index[frozenset(map(vertex, p))] for p in pairs]
+def _space(spec: GraphSpec, arr: tuple[int, ...], balanced: bool = False):
+    """The search space of the graph's edges, in ``spec.edges()`` order, on the vertex
+    arrangement arr, with their labels: an edge's window runs between its two ends'
+    positions in arr.  K_n (arranged 1..n) labels (u, v - u), K_{n,n} (u, v - n, q)
+    with q = +1 where v comes after u; balanced adds the party-mean equality."""
+    n, pos = spec.n, {v: i for i, v in enumerate(arr)}
+    labels, windows = [], []
+    for u, v in spec.edges():
+        a, b = pos[u], pos[v]
+        labels.append((u, v - u) if spec.family is Family.COMPLETE
+                      else (u, v - n, 1 if b > a else -1))
+        windows.append((min(a, b), max(a, b)))
+    eq_rows: tuple = ()
+    if balanced:
+        # party-sum equality in shifted gap vars: sum_i c_i (y_i + 1) = 0
+        coeffs = [sum(1 if v <= n else -1 for v in arr[i + 1 :]) for i in range(len(arr) - 1)]
+        eq_rows = ((tuple(coeffs), -sum(coeffs)),)
+    return _ChainSpace(tuple(windows), len(arr) - 1, eq_rows), labels
+
+
+def _symmetries(spec: GraphSpec):
+    """(arrangement map, item permutation) of each symmetry, perm[i] the image of
+    item i of ``spec.edges()`` under the vertex map: the reflection x' = -x with each party relabelled in
+    reverse, and on K_{n,n} also the party swap, in the order swap, reflection,
+    their product."""
+    n = spec.n
+
+    def swap(v):
+        return v - n if v > n else v + n
+
+    def reflect(v):
+        return 3 * n + 1 - v if v > n else n + 1 - v
+
+    def arrangement_map(vertex, reverse):
+        return lambda arr: tuple(map(vertex, reversed(arr) if reverse else arr))
+
+    index = {frozenset(edge): i for i, edge in enumerate(spec.edges())}  # item of a pair
+    maps = [(reflect, True)] if spec.family is Family.COMPLETE else [
+        (swap, False), (reflect, True), (lambda v: swap(reflect(v)), True)]
+    return [(arrangement_map(vertex, reverse), [index[frozenset(map(vertex, e))] for e in index])
+            for vertex, reverse in maps]
 
 
 def _orbit_search(family: Family, n: int, balanced: bool = False, count: bool = False,
                   jobs: int | None = 1) -> list | int:
     """The family's feasible orders as (space key, labels) pairs in search order, or
-    with count their number.  The spaces are K_n's one (key ()) or K_{n,n}'s
+    with count their number.  The spaces are K_n's one (key (1, ..., n)) or K_{n,n}'s
     arrangements; a symmetry is a (key map, item permutation) pair."""
-    GraphSpec(family, n)  # GraphSpec's rule for n: exactly an int, >= 1
+    spec = GraphSpec(family, n)  # GraphSpec's rule for n: exactly an int, >= 1
     if jobs is not None and (type(jobs) is not int or jobs < 1):
         raise ValueError(f"jobs must be None or an int >= 1, got {jobs!r}")
     limit = COUNT_LIMIT if family is Family.COMPLETE else ORDERING_LIMIT_KNN
     if n > limit:
         raise SizeGuardError(f"the {family.value} ordering search is guarded to n <= {limit}")
-    if family is Family.COMPLETE:
-        mirror = _item_permutation([(a, a + k) for a, k in kn_labels(n)], lambda v: n + 1 - v)
-        spaces, group = {(): _kn_space(n)}, [(lambda key: key, mirror)]
-    else:
-        spaces = {arr: _knn_space(n, arr, balanced) for arr in arrangements(n)}
-        group = _knn_symmetries(n)
+    arrs = [tuple(range(1, n + 1))] if family is Family.COMPLETE else arrangements(n)
+    spaces, group = {arr: _space(spec, arr, balanced) for arr in arrs}, _symmetries(spec)
     cpus = os.cpu_count() or 1
     jobs = cpus if jobs is None else min(jobs, cpus)
     split = count and jobs > 1 and len(group[0][1]) >= 10  # a permutation has every item
@@ -363,16 +399,6 @@ def _chain_count(task) -> int:
 # ---------------------------------------------------------------------------
 # complete graph: orderings, Golomb counting
 # ---------------------------------------------------------------------------
-
-def kn_labels(n: int) -> list[KnLabel]:
-    return [(a, k) for a in range(1, n) for k in range(1, n - a + 1)]
-
-
-def _kn_space(n: int) -> tuple[_ChainSpace, list[KnLabel]]:
-    labels = kn_labels(n)
-    windows = tuple((a - 1, a - 1 + k) for a, k in labels)
-    return _ChainSpace(windows, n - 1, ()), labels
-
 
 def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     """All feasible strict orders on the pairwise increments, deterministic order;
@@ -442,43 +468,6 @@ def arrangements(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _knn_space(n: int, arr: tuple[int, ...], balanced: bool):
-    pos = {v: i for i, v in enumerate(arr)}
-    labels = []
-    windows = []
-    for row in range(1, n + 1):
-        for col in range(1, n + 1):
-            a, b = pos[row], pos[n + col]
-            labels.append((row, col, 1 if b > a else -1))
-            windows.append((min(a, b), max(a, b)))
-    eq_rows: tuple = ()
-    if balanced:
-        # party-sum equality in shifted gap vars: sum_i c_i (y_i + 1) = 0
-        coeffs = [sum(1 if v <= n else -1 for v in arr[i + 1 :]) for i in range(2 * n - 1)]
-        eq_rows = ((tuple(coeffs), -sum(coeffs)),)
-    return _ChainSpace(tuple(windows), 2 * n - 1, eq_rows), labels
-
-
-def _knn_symmetries(n: int):
-    """(arrangement map, item permutation) of the party swap, of the reflection
-    x' = -x with each party relabelled in reverse, and of their product; the
-    items are the (row, col) pairs in ``_knn_space`` order."""
-    def swap(v):
-        return v - n if v > n else v + n
-
-    def reflect(v):
-        return 3 * n + 1 - v if v > n else n + 1 - v
-
-    def arrangement_map(vertex, reverse):
-        return lambda arr: tuple(map(vertex, reversed(arr) if reverse else arr))
-
-    pairs = [(row, n + col) for row in range(1, n + 1) for col in range(1, n + 1)]
-    return [
-        (arrangement_map(vertex, reverse), _item_permutation(pairs, vertex))
-        for vertex, reverse in ((swap, False), (reflect, True), (lambda v: swap(reflect(v)), True))
-    ]
-
-
 # `count --family knn` reports orderings up to here: n=3 (20 interleavings of
 # 9 magnitudes, 7 searched) took 0.33-0.50 s end to end, 0.24-0.33 s balanced
 # (2026-10-20, 2 cores, CPython 3.11); n=4 has 70 interleavings of 16 magnitudes
@@ -513,28 +502,17 @@ def feasible(order: IncrementOrder, balanced: bool = False) -> Configuration | N
     return _feasible_knn(order, balanced)
 
 
-def _order_exchanged(windows: Sequence[tuple[int, int]]) -> bool:
-    """Whether an order (windows by increasing magnitude) has two pairs of one gap
-    form, one below the other in both items; O(L^2) in its length L.  The pairs of
-    a form are disjoint, met in increasing lower item, and none is below another
-    only if each upper item is below the last: the pairs nest."""
-    upper: dict[tuple[int, ...], int] = {}
-    for i, w in enumerate(windows):
-        for j in range(i + 1, len(windows)):
-            form = _pair_form(w, windows[j])
-            if upper.get(form, j) < j:
-                return True
-            upper[form] = j
-    return False
-
-
 def _feasible_kn(order: IncrementOrder) -> Configuration | None:
     n = order.n
-    if _order_exchanged([(a - 1, a - 1 + k) for a, k in order.labels]):
-        return None
-    space, labels = _kn_space(n)
+    space, labels = _space(complete(n), tuple(range(1, n + 1)))
     index = {lab: i for i, lab in enumerate(labels)}
     chain = [index[lab] for lab in order.labels]
+    rank = [math.nan] * len(labels)  # an item off the order is below and above nothing
+    for i, c in enumerate(chain):
+        rank[c] = i
+    _masks, table = _search_tables(space.windows)
+    if any(_exchanged(table, rank, c) for c in chain):
+        return None
     ge = [_window_row(space, a, b) for a, b in zip(chain, chain[1:])]
     point = ratlp.solve_feasibility(space.n_gaps, ge_rows=ge)
     if point is None:
@@ -592,19 +570,11 @@ def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
     the claimed strict order exactly."""
     if (config.spec.family, config.spec.n) != (order.family, order.n) or not config.is_ordered():
         return False
-    vals = config.values
-    mags = []
-    if order.family is Family.COMPLETE:
-        for a, k in order.labels:
-            mags.append(vals[a + k - 1] - vals[a - 1])
-    else:
-        n = order.n
-        for row, col, q in order.labels:
-            d = vals[n + col - 1] - vals[row - 1]
-            if (d > 0) != (q > 0) or d == 0:
-                return False
-            mags.append(abs(d))
-    return all(a < b for a, b in zip(mags, mags[1:])) and all(m > 0 for m in mags)
+    x, n, kn = config.values, order.n, order.family is Family.COMPLETE
+    # K_n's (a, k) reads x_{a+k} - x_a (sign 1), K_{n,n}'s (r, c, q) q (x_{n+c} - x_r)
+    mags = [q * (x[(u if kn else n) + w - 1] - x[u - 1])
+            for u, w, q in ((*lab, 1)[:3] for lab in order.labels)]
+    return all(a < b for a, b in zip([0, *mags], mags))  # positive, strictly increasing
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,18 @@ def test_apply_edge_refuses_sites_outside_the_party(family):
                     apply_edge(family, code, (site, end))
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("site", [True, 1.0], ids=repr)
+def test_apply_edge_refuses_a_site_not_an_int(family, site):
+    # site 1 moves here, but a bool site would be carried into the move (and a
+    # SyncEvent's JSON would write true), a float one fail to index a column;
+    # both are refused before any move
+    code, end = ((1, 2, 3), 2) if family is Family.COMPLETE else (((1, 2, 3), (0, 1, 2)), 4)
+    assert apply_edge(family, code, (1, end))[0] == 1
+    with pytest.raises(ValueError, match="site must be an int"):
+        apply_edge(family, code, (site, end))
+
+
 def _oracle_encode_kn(config, eps):
     """Reference reach vector: the sweep on the values as given."""
     if config.spec.family is not Family.COMPLETE:

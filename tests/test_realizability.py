@@ -28,7 +28,6 @@ from syncpaths.realizability import (
     enumerate_realizable_orderings_knn,
     feasible,
     golomb_bounds,
-    kn_labels,
     knn_path_upper_bound,
     path_to_ordering_kn,
     path_to_ordering_knn,
@@ -60,6 +59,24 @@ def test_verify_witness_refuses_other_graph():
     assert verify_witness(order, Configuration(complete(3), (0, 1, 3)))
     for spec in (complete(4), bipartite(2)):
         assert not verify_witness(order, Configuration(spec, (0, 1, 3, 7)))
+
+
+def test_verify_witness_reads_signs_and_strict_order():
+    # K_n's (a, k) reads x_{a+k} - x_a and K_{n,n}'s (r, c, q) reads
+    # q (x_{n+c} - x_r); each must be positive and the list strictly increasing
+    kn = Configuration(complete(3), (0, 1, 3))
+    assert verify_witness(IncrementOrder(Family.COMPLETE, 3, ((1, 1), (2, 1), (1, 2))), kn)
+    assert not verify_witness(IncrementOrder(Family.COMPLETE, 3, ((2, 1), (1, 1))), kn)
+    tied = Configuration(complete(3), (0, 0, 3))
+    assert not verify_witness(IncrementOrder(Family.COMPLETE, 3, ((1, 1), (2, 1))), tied)
+    knn = Configuration(bipartite(2), (0, 3, 1, 6))  # magnitudes 1, 6, 2, 3 by (r, c)
+    signed = ((1, 1, 1), (2, 1, -1), (2, 2, 1), (1, 2, 1))
+    assert verify_witness(IncrementOrder(Family.BIPARTITE, 2, signed), knn)
+    for labels in (((1, 1, 1), (2, 1, 1)), ((2, 1, -1), (1, 1, 1)), ((1, 1, -1),)):
+        assert not verify_witness(IncrementOrder(Family.BIPARTITE, 2, labels), knn)
+    meet = Configuration(bipartite(2), (0, 3, 3, 6))  # x_2 = y_1: no sign is right
+    for q in (1, -1):
+        assert not verify_witness(IncrementOrder(Family.BIPARTITE, 2, ((2, 1, q),)), meet)
 
 
 def test_counterexample_infeasible():
@@ -332,22 +349,22 @@ def test_enumeration_order_is_pinned(enumerate_rows, digest):
 def test_orbit_reuse_matches_the_full_search():
     # oracle without symmetry: the plain search over the whole K_n tree and
     # over every arrangement must give the enumerators' lists, order included
-    from syncpaths.realizability import _chains, _kn_space, _knn_space
+    from syncpaths.realizability import _chains, _space
 
     for n in range(1, 6):
-        space, labels = _kn_space(n)
+        space, labels = _space(complete(n), tuple(range(1, n + 1)))
         full = [tuple(labels[i] for i in chain) for chain in _chains(space)]
         assert enumerate_realizable_orderings_kn(n) == full, n
     for n in (1, 2, 3):
         for balanced in (False, True):
             full = []
             for arr in arrangements(n):
-                space, labels = _knn_space(n, arr, balanced)
+                space, labels = _space(bipartite(n), arr, balanced)
                 full.extend((arr, tuple(labels[i] for i in chain)) for chain in _chains(space))
             assert enumerate_realizable_orderings_knn(n, balanced) == full, (n, balanced)
     # every Golomb n=5 branch counted on its own: first gap a and its mirror
     # 5 - a count the same, and the four add up to the class count
-    space, labels = _kn_space(5)
+    space, labels = _space(complete(5), (1, 2, 3, 4, 5))
     per_gap = {
         a: sum(1 for _chain in _chains(space, (c,)))
         for c, (a, k) in enumerate(labels) if k == 1
@@ -389,6 +406,25 @@ def test_exchange_refutes_only_infeasible_nodes(monkeypatch):
     assert all(point is None for point in verdicts)
 
 
+def _refuted_and_infeasible(orders, monkeypatch):
+    # per order: whether any of its exchange tests refutes it, and whether its LP,
+    # solved with the rule kept from pruning, is infeasible
+    from syncpaths import realizability
+
+    exchanged, hit, refuted, lp_none = realizability._exchanged, [False], [], []
+
+    def recorded(table, rank, c):
+        hit[0] |= exchanged(table, rank, c)
+        return False
+
+    monkeypatch.setattr(realizability, "_exchanged", recorded)
+    for order in orders:
+        hit[0] = False
+        lp_none.append(feasible(order) is None)
+        refuted.append(hit[0])
+    return refuted, lp_none
+
+
 def test_refuted_orders_are_infeasible(monkeypatch):
     # soundness oracle for feasible(): every order the exchange rule refutes
     # has an infeasible LP, over the K5 jump paths and a seeded K6 sample of
@@ -396,7 +432,8 @@ def test_refuted_orders_are_infeasible(monkeypatch):
     # also with every two neighbours swapped
     from syncpaths import realizability
 
-    orders, rng, labels = _k5_jump_orders(), random.Random(2026), kn_labels(6)
+    labels = realizability._space(complete(6), (1, 2, 3, 4, 5, 6))[1]
+    orders, rng = _k5_jump_orders(), random.Random(2026)
     for _ in range(40):
         orders.append(IncrementOrder(Family.COMPLETE, 6, tuple(rng.sample(labels, len(labels)))))
         ruler = sorted(rng.sample(range(64), 6))
@@ -407,17 +444,30 @@ def test_refuted_orders_are_infeasible(monkeypatch):
         for i in range(len(ruled)):
             swapped = ruled[:i] + ruled[i + 1 : i + 2] + ruled[i : i + 1] + ruled[i + 2 :]
             orders.append(IncrementOrder(Family.COMPLETE, 6, tuple(swapped)))
-    exchanged, refuted = realizability._order_exchanged, []
-
-    def recorded(windows):
-        refuted.append(exchanged(windows))
-        return False
-
-    monkeypatch.setattr(realizability, "_order_exchanged", recorded)
-    lp_none = [feasible(order) is None for order in orders]
+    refuted, lp_none = _refuted_and_infeasible(orders, monkeypatch)
     assert all(none for none, r in zip(lp_none, refuted) if r)
     assert (sum(refuted[:768]), sum(lp_none[:768])) == (646, 654)
     assert (len(orders) - 768, sum(refuted[768:]), sum(lp_none[768:])) == (250, 197, 198)
+
+
+def test_exchange_rule_on_partial_orders(monkeypatch):
+    # oracle for the rule on orders of some of the items only: seeded K5/K6 label
+    # samples; the witnesses are pinned, and every order the rule refutes must
+    # have an infeasible LP
+    rng, orders = random.Random(33), []
+    for _ in range(300):
+        n = rng.choice((5, 6))
+        labels = [(u, v - u) for u, v in complete(n).edges()]
+        sample = rng.sample(labels, rng.randint(2, len(labels)))
+        orders.append(IncrementOrder(Family.COMPLETE, n, tuple(sample)))
+    witnesses = [feasible(order) for order in orders]
+    assert sum(w is None for w in witnesses) == 267
+    assert all(verify_witness(o, w) for o, w in zip(orders, witnesses) if w is not None)
+    assert _sha256_json([None if w is None else [str(v) for v in w.values] for w in witnesses]) \
+        == "59ca9062f283071e81b07d273ce45b3f6feac86eac791c3c556ff57e9f5aaeed"
+    refuted, lp_none = _refuted_and_infeasible(orders, monkeypatch)
+    assert sum(refuted) == 165
+    assert all(none for none, r in zip(lp_none, refuted) if r)
 
 
 def test_kn4_orderings_match_reference():
