@@ -27,7 +27,6 @@ its code operations, so callers look an operation up instead of branching on the
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import le, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -35,13 +34,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidCodeError, NotTypicalError
-from .graphs import Configuration, Edge, Family, check_positive, complete
+from .graphs import Configuration, Edge, Family, check_positive, complete, integer_units
 
 KnCode = tuple[int, ...]
 KnnCode = tuple[tuple[int, ...], tuple[int, ...]]
 Code = KnCode | KnnCode
 Move = tuple[int, int, Code, Edge]  # (site, sign, new code, added edge); sign 0 for K_n
-_RATIONAL = {int, Fraction}  # input of exactly these types is swept in integer units
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +124,8 @@ def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, o
     """config.groups() and eps, checked sorted and by ``check_positive``;
     all-rational input as ints in units of 1/lcm, scaled in one list."""
     values, unit, n = config.values, eps, config.spec.n
-    if {type(eps), *map(type, values)} <= _RATIONAL:
-        (p, q), ratios = eps.as_integer_ratio(), [v.as_integer_ratio() for v in values]
-        scale = math.lcm(q, *[d for _, d in ratios])
-        unit, values = p * (scale // q), [v * (scale // d) for v, d in ratios]
+    if (scaled := integer_units((*values, eps))) is not None:  # eps last: popped off
+        unit, values = scaled.pop(), scaled
     check_positive(eps, unit=unit)
     groups = (values,) if len(values) == n else (values[:n], values[n:])  # one per party
     for g in groups:

@@ -4,8 +4,8 @@ Vertices are codes; level(code) = number of decoded edges, and every arrow goes
 level k -> k+1.  ``build_diagram`` orders both once, by level, from the code table,
 and keeps each source's arrows as one run of small integer arrays (target vertex
 indices, sites, signs); ``Arrow`` tuples are made only when ``arrows`` is read.
-Path counting is exact big-integer dynamic programming over the vertex indices,
-backwards, so every target is counted before its sources.
+Path counting is exact big-integer dynamic programming one level at a time, from
+the top down, so every target is counted before its sources.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class TransitionDiagram:
     within a level; the sink, alone at the top, last), arrows source by source in
     that order.  Vertex i's arrows are the run offsets[i]:offsets[i + 1] of targets
     (vertex indices), sites and signs; ``arrows`` makes them Arrow tuples on request.
-    The runs follow from spec, so they take no part in ==, hash or repr."""
+    level_starts holds the first vertex index of each level.  The runs and starts
+    follow from spec, so they take no part in ==, hash or repr."""
 
     spec: GraphSpec
     vertices: tuple
@@ -53,14 +54,14 @@ class TransitionDiagram:
     targets: np.ndarray = field(compare=False, repr=False)
     sites: np.ndarray = field(compare=False, repr=False)
     signs: np.ndarray = field(compare=False, repr=False)
+    level_starts: np.ndarray = field(compare=False, repr=False)
 
     def level(self, code) -> int:
         return CODES[self.spec.family].level(code)
 
     def level_sizes(self) -> list[int]:
-        sizes = [0] * (self.spec.edge_count + 1)
-        for v in self.vertices:
-            sizes[self.level(v)] += 1
+        sizes = np.diff(self.level_starts, append=len(self.vertices)).tolist()
+        assert len(sizes) == self.spec.edge_count + 1, "an arrow climbs one level: none is empty"
         return sizes
 
     def code_text(self, code) -> str:
@@ -77,14 +78,18 @@ class TransitionDiagram:
 
     @cached_property
     def _path_counts(self) -> dict:
-        """Paths to the sink from every vertex; one DP, kept with this diagram.
-        Vertices read backwards: a target is one level up, so its count is final
-        before any of its sources is reached."""
-        off, targets = self.offsets.tolist(), self.targets.tolist()
-        paths = [0] * (len(self.vertices) - 1) + [1]
-        for i in range(len(paths) - 2, -1, -1):
-            paths[i] = sum(map(paths.__getitem__, targets[off[i]:off[i + 1]]))
-        return dict(zip(self.vertices, paths))
+        """Paths to the sink from every vertex; one DP, kept with this diagram, level by
+        level from the top down (a target is one level up, so its count is final): each
+        source sums its run of its targets' counts, exact Python ints, with ``reduceat``."""
+        off, starts = self.offsets, self.level_starts.tolist()
+        paths = np.zeros(len(self.vertices), object)
+        paths[-1] = 1
+        for lo, hi in zip(starts[-2::-1], starts[:0:-1]):
+            runs = off[lo:hi + 1] - off[lo]
+            sums = np.add.reduceat(np.append(paths[self.targets[off[lo]:off[hi]]], 0), runs[:-1])
+            sums[runs[1:] == runs[:-1]] = 0  # empty runs; the trailing 0 keeps starts in range
+            paths[lo:hi] = sums
+        return dict(zip(self.vertices, paths.tolist()))
 
 
 def guarded_code_count(spec: GraphSpec) -> int:
@@ -109,7 +114,8 @@ def build_diagram(spec: GraphSpec) -> TransitionDiagram:
     assert base**width <= np.iinfo(np.int64).max, "row keys must fit in int64"
     site, sign, column, masks = map(np.array, zip(*family.moves(table.T, range(1, spec.n + 1))))
     step = np.where(sign, sign, 1)
-    order = np.argsort(table[:, column] @ step, kind="stable")
+    order = np.argsort(key := table[:, column] @ step, kind="stable")
+    level_starts = np.flatnonzero(np.diff(key[order], prepend=key.min() - 1))
     index = np.empty(len(order), np.int32)  # the guard keeps vertex indices small
     index[order] = np.arange(len(order))
     weight = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -125,7 +131,7 @@ def build_diagram(spec: GraphSpec) -> TransitionDiagram:
     vertices = tuple(family.rows(table[order]))
     return TransitionDiagram(spec, vertices, tuple(family.starts(spec.n)), family.sink(spec.n),
                              offsets, targets, site.astype(np.int8)[kind],
-                             sign.astype(np.int8)[kind])
+                             sign.astype(np.int8)[kind], level_starts)
 
 
 def count_admissible_paths(diagram: TransitionDiagram, source) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 
 Number = int | float | Fraction
 Edge = tuple[int, int]
+_RATIONAL = frozenset((int, Fraction))  # values of exactly these types have integer units
 
 
 class Family(enum.Enum):
@@ -167,6 +168,16 @@ def laplacian(spec: GraphSpec) -> np.ndarray:
     for i in range(size):
         mat[i, i] = -mat[i].sum()
     return mat
+
+
+def integer_units(values) -> list[int] | None:
+    """Values of exactly int or Fraction type as ints in units of 1/lcm of their
+    denominators, so order and sums compare exactly; None for any other input."""
+    if not {*map(type, values)} <= _RATIONAL:
+        return None
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in ratios])
+    return [p * (scale // d) for p, d in ratios]
 
 
 def check_positive(value: Number, name: str = "eps", unit: Number | None = None) -> None:

@@ -54,12 +54,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ratlp
 from .codes import CODES, KnCode, KnnCode, Move, validate_kn, validate_knn
 from .errors import NotTypicalError, SizeGuardError, SyncPathsError
-from .graphs import Configuration, Family, GraphSpec, bipartite, complete
+from .graphs import Configuration, Family, GraphSpec, bipartite, complete, integer_units
 
 # Literature values for the number of Golomb-ruler classes (OEIS A237749).
 GOLOMB_TABLE = {
@@ -502,15 +503,22 @@ def feasible(order: IncrementOrder, balanced: bool = False) -> Configuration | N
     return _feasible_knn(order, balanced)
 
 
+@lru_cache(maxsize=None)
+def _kn_context(n: int):
+    """K_n's spec, search space, label -> item index and exchange table, built once
+    per n and shared read-only: a query then does only its own order's work."""
+    spec = complete(n)
+    space, labels = _space(spec, tuple(range(1, n + 1)))
+    index = MappingProxyType({lab: i for i, lab in enumerate(labels)})
+    return spec, space, index, _search_tables(space.windows)[1]
+
+
 def _feasible_kn(order: IncrementOrder) -> Configuration | None:
-    n = order.n
-    space, labels = _space(complete(n), tuple(range(1, n + 1)))
-    index = {lab: i for i, lab in enumerate(labels)}
+    spec, space, index, table = _kn_context(order.n)
     chain = [index[lab] for lab in order.labels]
-    rank = [math.nan] * len(labels)  # an item off the order is below and above nothing
+    rank = [math.nan] * len(index)  # an item off the order is below and above nothing
     for i, c in enumerate(chain):
         rank[c] = i
-    _masks, table = _search_tables(space.windows)
     if any(_exchanged(table, rank, c) for c in chain):
         return None
     ge = [_window_row(space, a, b) for a, b in zip(chain, chain[1:])]
@@ -519,7 +527,7 @@ def _feasible_kn(order: IncrementOrder) -> Configuration | None:
         return None
     y, d = point
     values = accumulate((v + d for v in y), initial=0)
-    return Configuration(complete(n), tuple(Fraction(v, d) for v in values))
+    return Configuration(spec, tuple(Fraction(v, d) for v in values))
 
 
 def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None:
@@ -571,6 +579,7 @@ def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
     if (config.spec.family, config.spec.n) != (order.family, order.n) or not config.is_ordered():
         return False
     x, n, kn = config.values, order.n, order.family is Family.COMPLETE
+    x = x if (units := integer_units(x)) is None else units  # exact, in ints
     # K_n's (a, k) reads x_{a+k} - x_a (sign 1), K_{n,n}'s (r, c, q) q (x_{n+c} - x_r)
     mags = [q * (x[(u if kn else n) + w - 1] - x[u - 1])
             for u, w, q in ((*lab, 1)[:3] for lab in order.labels)]

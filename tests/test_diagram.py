@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -384,3 +385,34 @@ def _reference_exports(d):
 def test_exports_match_a_formatter_over_the_arrows(spec):
     d = build_diagram(spec)
     assert (export_dot(d), export_json(d)) == _reference_exports(d)
+
+
+def test_path_counts_match_the_per_vertex_loop():
+    # oracle: the vertices read backwards one at a time, each summing its run of
+    # targets; level sizes counted vertex by vertex with level()
+    def per_vertex(d):
+        off, targets = d.offsets.tolist(), d.targets.tolist()
+        paths = [0] * (len(d.vertices) - 1) + [1]
+        for i in range(len(paths) - 2, -1, -1):
+            paths[i] = sum(map(paths.__getitem__, targets[off[i]:off[i + 1]]))
+        return dict(zip(d.vertices, paths))
+
+    for spec in [complete(n) for n in range(1, 10)] + [bipartite(n) for n in range(1, 5)]:
+        d = build_diagram(spec)
+        counts = d._path_counts
+        assert counts == per_vertex(d), spec
+        assert all(type(c) is int for c in counts.values()), spec
+        sizes = [0] * (spec.edge_count + 1)
+        for v in d.vertices:
+            sizes[d.level(v)] += 1
+        assert d.level_sizes() == sizes, spec
+    # every built diagram gives each vertex below the sink an arrow; with every third
+    # source's run emptied (whole levels too) an empty run still counts 0 paths
+    for spec in (complete(5), bipartite(3)):
+        d = build_diagram(spec)
+        source_kept, runs = np.arange(len(d.vertices)) % 3 != 0, np.diff(d.offsets)
+        kept = np.repeat(source_kept, runs)
+        cut = dataclasses.replace(d, offsets=np.concatenate(([0], np.cumsum(runs * source_kept))),
+                                  targets=d.targets[kept], sites=d.sites[kept],
+                                  signs=d.signs[kept])
+        assert cut._path_counts == per_vertex(cut) != per_vertex(d), spec

@@ -21,6 +21,7 @@ from syncpaths.distributions import (
     density_export,
     f_kn,
     f_knn,
+    length_distribution,
     partition_counts,
     sloane_prefix_check,
     summary,
@@ -237,3 +238,27 @@ def test_distribution_json():
         "n": 4,
         "counts": ["1", "1", "2", "3", "3", "3", "1"],
     }
+
+
+def test_density_export_matches_fraction_accumulation():
+    # oracle: each bin's mass summed as Fractions of the total, then each
+    # printed value made by float(Fraction); n = 1 has top == 0
+    def by_fractions(family, n, bins):
+        dist = length_distribution(family, n)
+        top, total = dist.max_length, dist.total()
+        mass = [Fraction(0)] * bins
+        for l, c in enumerate(dist.counts):
+            j = min(l * bins // top, bins - 1) if top else 0
+            mass[j] += Fraction(c, total)
+        lines = ["x,density"]
+        for j in range(bins):
+            x, rho = Fraction(2 * j + 1, 2 * bins), mass[j] * bins
+            lines.append(f"{float(x):.12g},{float(rho):.12g}")
+        return "\n".join(lines) + "\n"
+
+    for family, top_n in ((Family.COMPLETE, 40), (Family.BIPARTITE, 14)):
+        for n in range(1, top_n + 1):
+            max_length = (f_kn(n) if family is Family.COMPLETE else f_knn(n)).max_length
+            for bins in (1, 2, 3, 7, 50, max_length + 5):
+                assert density_export(family, n, bins) == by_fractions(family, n, bins), (
+                    family, n, bins)

@@ -129,6 +129,86 @@ def test_k5_witnesses_pinned(monkeypatch):
     )
 
 
+def test_kn_space_built_once_per_n(monkeypatch):
+    # the K_n search space of a feasibility query depends on n alone: the 768 K5
+    # jump-path queries build it at most once between them
+    from syncpaths import realizability
+
+    space, built = realizability._space, []
+
+    def counted(spec, *args, **kwargs):
+        built.append(spec.n)
+        return space(spec, *args, **kwargs)
+
+    monkeypatch.setattr(realizability, "_space", counted)
+    orders = _k5_jump_orders()
+    assert len(orders) == 768
+    assert sum(feasible(order) is None for order in orders) == 654
+    assert built.count(5) <= 1
+
+
+def _verify_directly(order, config):
+    # the substitution check read straight off the values, in their own arithmetic
+    if (config.spec.family, config.spec.n) != (order.family, order.n) or not config.is_ordered():
+        return False
+    x, n, kn = config.values, order.n, order.family is Family.COMPLETE
+    mags = [q * (x[(u if kn else n) + w - 1] - x[u - 1])
+            for u, w, q in ((*lab, 1)[:3] for lab in order.labels)]
+    return all(a < b for a, b in zip([0, *mags], mags))
+
+
+def test_verify_witness_matches_the_direct_expression():
+    # oracle over int, Fraction, float, mixed, bool and np.float64 values of both
+    # families: every order of up to three labels on K3 (two on K_{2,2}), and on K4
+    # every full order, against every small grid configuration, sorted or not
+    kinds = {
+        "int": lambda v, i: v,
+        "fraction": lambda v, i: Fraction(v, 6),
+        "float": lambda v, i: v / 6,
+        "int+fraction": lambda v, i: v if i % 2 else Fraction(v),
+        "int+float": lambda v, i: v if i % 2 else float(v),
+        "fraction+float": lambda v, i: Fraction(v, 6) if i % 2 else v / 6,
+        "bool": lambda v, i: bool(v),
+        "np.float64": lambda v, i: np.float64(v / 6),
+    }
+    checked = 0
+    for spec, grid in ((complete(3), range(4)), (complete(4), (0, 1, 4, 6)), (bipartite(2), range(3))):
+        family, labels = spec.family, list(spec.edges())
+        labels = ([(u, v - u) for u, v in labels] if family is Family.COMPLETE
+                  else [(u, v - spec.n, q) for u, v in labels for q in (1, -1)])
+        orders = [IncrementOrder(family, spec.n, seq)
+                  for k in range(1, 4 if spec.n == 3 else 3)
+                  for seq in itertools.permutations(labels, k)]
+        if spec.n == 4:
+            orders += [IncrementOrder(family, 4, seq) for seq in itertools.permutations(labels)]
+        points = list(itertools.product(grid, repeat=spec.vertex_count))
+        if spec.n == 4:
+            points = [(0, 1, 4, 6), (0, 4, 1, 6), (0, 1, 2, 3)]
+        for point in points:
+            for name, kind in kinds.items():
+                if name == "bool" and not set(point) <= {0, 1}:
+                    continue
+                config = Configuration(spec, tuple(kind(v, i) for i, v in enumerate(point)))
+                for order in orders:
+                    assert verify_witness(order, config) == _verify_directly(order, config), (
+                        name, point, order.labels)
+                    checked += 1
+    assert checked > 10**4
+    # the named cases: a zero difference, a tie, a wrong sign and a reversed order fail
+    k3 = IncrementOrder(Family.COMPLETE, 3, ((1, 1), (2, 1), (1, 2)))
+    for name, kind in kinds.items():
+        if name == "bool":
+            continue
+        holds = Configuration(complete(3), tuple(kind(v, i) for i, v in enumerate((0, 1, 3))))
+        assert verify_witness(k3, holds)
+        for values in ((0, 0, 3), (0, 1, 2), (0, 2, 3)):  # zero difference, tie, reversed
+            config = Configuration(complete(3), tuple(kind(v, i) for i, v in enumerate(values)))
+            assert not verify_witness(k3, config)
+    wrong_sign = IncrementOrder(Family.BIPARTITE, 2, ((1, 1, -1),))
+    assert not verify_witness(wrong_sign, Configuration(bipartite(2), (0, 3, 1, 6)))
+    assert not verify_witness(wrong_sign, Configuration(bipartite(2), (Fraction(0), 3, 1, 6)))
+
+
 def test_path_to_ordering_rejects_inadmissible():
     with pytest.raises(SyncPathsError):
         path_to_ordering_kn((1, 2, 3, 4), (4,))
