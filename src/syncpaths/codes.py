@@ -12,9 +12,9 @@ omega)``: row ``n`` of party one is linked exactly to party-two columns
 by Narayana numbers.
 
 Encoding sweeps each sorted party once, comparing ``w - x[n]`` with eps.
-Rational input (ints and Fractions) is compared in integer units of one common
-denominator, exactly; float input as ``sync_subnetwork`` compares it, since
-``w <= x[n] + eps`` can round otherwise.
+Rational input (ints and Fractions) is compared exactly in ``config.exact``'s integers
+(a witness's, as built), rescaled only where eps's denominator does not divide theirs;
+float input as ``sync_subnetwork`` compares it: ``w <= x[n] + eps`` can round otherwise.
 
 Each family's codes are one integer table, whose rows the enumerators return as tuples.
 Its single-site move rule (``_kn_moves``, ``_knn_moves``) is written once, over the
@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidCodeError, NotTypicalError
-from .graphs import Configuration, Edge, Family, check_positive, complete, integer_units
+from .graphs import _RATIONAL, Configuration, Edge, Family, check_positive, complete
 
 KnCode = tuple[int, ...]
 KnnCode = tuple[tuple[int, ...], tuple[int, ...]]
@@ -121,11 +121,14 @@ def _code_table(n: int, width: int, bounds) -> np.ndarray:
 
 
 def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, object]:
-    """config.groups() and eps, checked sorted and by ``check_positive``;
-    all-rational input as ints in units of 1/lcm, scaled in one list."""
+    """config.groups() and eps, checked sorted and by ``check_positive``; all-rational
+    input as ints in units of 1/lcm(config.exact's den, eps's denominator)."""
     values, unit, n = config.values, eps, config.spec.n
-    if (scaled := integer_units((*values, eps))) is not None:  # eps last: popped off
-        unit, values = scaled.pop(), scaled
+    if type(eps) in _RATIONAL and (exact := config.exact) is not None:
+        (values, den), (num, d) = exact, eps.as_integer_ratio()
+        if (scale := math.lcm(den, d)) != den:  # a witness's den is already a multiple of d
+            values = [v * (scale // den) for v in values]
+        unit = num * (scale // d)
     check_positive(eps, unit=unit)
     groups = (values,) if len(values) == n else (values[:n], values[n:])  # one per party
     for g in groups:

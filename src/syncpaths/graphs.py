@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -25,6 +26,7 @@ _RATIONAL = frozenset((int, Fraction))  # values of exactly these types have int
 class Family(enum.Enum):
     COMPLETE = "kn"
     BIPARTITE = "knn"
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class Configuration:
     """Vertex positions (radians when driving the Kuramoto flow).
 
     Values may be floats or exact ``Fraction``s; predicates below compare
-    exactly whichever representation is used.
+    exactly whichever representation is used.  ``exact`` is their integer form.
     """
 
     spec: GraphSpec
@@ -87,6 +89,28 @@ class Configuration:
             raise ValueError(
                 f"expected {self.spec.vertex_count} values, got {len(self.values)}"
             )
+
+    @classmethod
+    def from_units(cls, spec: GraphSpec, ints, den: int) -> Configuration:
+        """The configuration of values ints[i] / den, den > 0, one Fraction per distinct
+        value; its ``exact`` is (ints, den) as given, so no reader recomputes it."""
+        if den <= 0:
+            raise ValueError(f"den must be > 0, got {den}")
+        ints = tuple(ints)
+        fractions = {v: Fraction(v, den) for v in set(ints)}
+        config = cls(spec, tuple(map(fractions.__getitem__, ints)))
+        object.__setattr__(config, "exact", (ints, den))  # seeds the cached property
+        return config
+
+    @cached_property
+    def exact(self) -> tuple[tuple[int, ...], int] | None:
+        """(ints, den), den > 0, values[i] == Fraction(ints[i], den); None unless each value
+        is exactly an int or a Fraction.  Not a field: ==, hash and repr read the values."""
+        if not {*map(type, self.values)} <= _RATIONAL:
+            return None
+        ratios = [v.as_integer_ratio() for v in self.values]
+        den = math.lcm(*[d for _, d in ratios])
+        return tuple([p * (den // d) for p, d in ratios]), den
 
     def __getitem__(self, vertex: int) -> Number:
         """Position of a 1-based vertex."""
@@ -168,16 +192,6 @@ def laplacian(spec: GraphSpec) -> np.ndarray:
     for i in range(size):
         mat[i, i] = -mat[i].sum()
     return mat
-
-
-def integer_units(values) -> list[int] | None:
-    """Values of exactly int or Fraction type as ints in units of 1/lcm of their
-    denominators, so order and sums compare exactly; None for any other input."""
-    if not {*map(type, values)} <= _RATIONAL:
-        return None
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*[d for _, d in ratios])
-    return [p * (scale // d) for p, d in ratios]
 
 
 def check_positive(value: Number, name: str = "eps", unit: Number | None = None) -> None:

@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import ratlp
 from .codes import CODES, KnCode, KnnCode, Move, validate_kn, validate_knn
 from .errors import NotTypicalError, SizeGuardError, SyncPathsError
-from .graphs import Configuration, Family, GraphSpec, bipartite, complete, integer_units
+from .graphs import Configuration, Family, GraphSpec, bipartite, complete
 
 # Literature values for the number of Golomb-ruler classes (OEIS A237749).
 GOLOMB_TABLE = {
@@ -526,8 +526,7 @@ def _feasible_kn(order: IncrementOrder) -> Configuration | None:
     if point is None:
         return None
     y, d = point
-    values = accumulate((v + d for v in y), initial=0)
-    return Configuration(spec, tuple(Fraction(v, d) for v in values))
+    return Configuration.from_units(spec, accumulate((v + d for v in y), initial=0), d)
 
 
 def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None:
@@ -570,7 +569,7 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
     y, d = point
     x1 = accumulate(y[:ng], initial=0)
     x2 = accumulate(y[ng : 2 * ng], initial=y[2 * ng] - y[2 * ng + 1])
-    return Configuration(bipartite(n), tuple(Fraction(v, d) for v in (*x1, *x2)))
+    return Configuration.from_units(bipartite(n), (*x1, *x2), d)
 
 
 def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
@@ -579,7 +578,7 @@ def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
     if (config.spec.family, config.spec.n) != (order.family, order.n) or not config.is_ordered():
         return False
     x, n, kn = config.values, order.n, order.family is Family.COMPLETE
-    x = x if (units := integer_units(x)) is None else units  # exact, in ints
+    x = x if (exact := config.exact) is None else exact[0]  # exact, in ints
     # K_n's (a, k) reads x_{a+k} - x_a (sign 1), K_{n,n}'s (r, c, q) q (x_{n+c} - x_r)
     mags = [q * (x[(u if kn else n) + w - 1] - x[u - 1])
             for u, w, q in ((*lab, 1)[:3] for lab in order.labels)]

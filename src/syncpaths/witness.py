@@ -18,7 +18,8 @@ block the first-party positions solve a small difference-constraint system
 2*eps apart") by Bellman-Ford longest paths; second-party positions are
 then placed greedily inside their per-column windows.  Both builders read
 eps once, as its integer ratio, count every coordinate in integers of a unit
-fixed before placement, and build each distinct one's ``Fraction`` once.
+fixed before placement, and hand them with their denominator to
+``Configuration.from_units``: the witness's ``exact`` form, read as it is.
 """
 
 from __future__ import annotations
@@ -106,20 +107,16 @@ def witness_kn(code: KnCode, eps) -> Configuration:
             upper = x[p + 1] if same_tier else anchor - (depth[p] - 1) * unit
             share = (upper - x[p]) // kids[p]
             x[k] = upper - unit - share
-    shift, den = depth[1] * unit - anchor, den * unit  # first root: its tree's height * eps up
-    return Configuration(_complete(n), tuple([Fraction((v + shift) * num, den) for v in x[1:]]))
+    shift = depth[1] * unit - anchor  # first root: its tree's height * eps up
+    return Configuration.from_units(_complete(n), [(v + shift) * num for v in x[1:]], den * unit)
 
 
 # ---------------------------------------------------------------------------
 # bipartite witness
 # ---------------------------------------------------------------------------
 
-def overlap_blocks(code: KnnCode) -> list[tuple[int, int]]:
-    """Maximal runs of rows whose consecutive column intervals intersect."""
-    return _blocks(*validate_knn(code))
-
-
 def _blocks(alpha, omega) -> list[tuple[int, int]]:
+    """Maximal runs of rows whose consecutive column intervals intersect."""
     # the borders rise, so (1-based) row meets row + 1 iff the next row's
     # alpha[row] is at most omega[row - 1]; a block ends where they miss
     n = len(alpha)
@@ -219,6 +216,4 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
             y[m] = prev = lower
     y[col:] = [x[n] + 3 * unit // 2] * (n + 1 - col)  # uncovered: 3*eps/2 above the last block
 
-    units, den = x[1:] + y[1:], unit * den
-    exact = {v: Fraction(v * num, den) for v in set(units)}  # a column often sits on a row
-    return Configuration(_bipartite(n), tuple(map(exact.__getitem__, units)))
+    return Configuration.from_units(_bipartite(n), [v * num for v in x[1:] + y[1:]], unit * den)

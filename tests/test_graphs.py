@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -135,3 +136,32 @@ def test_edges_json_is_sorted():
     pairs = json.loads(text)
     assert pairs == sorted(pairs)
     assert all(u < v for u, v in pairs)
+
+
+def test_family_keys_look_up_by_identity():
+    # members hash by identity; a member named by value or sent through pickle is the
+    # same singleton, so every table keyed by Family finds it
+    from syncpaths.codes import CODES
+    from syncpaths.distributions import DENSITY_LIMITS, DIST_LIMITS
+
+    assert hash(Family.COMPLETE) == object.__hash__(Family.COMPLETE)
+    for member in (Family("kn"), Family("knn"), pickle.loads(pickle.dumps(Family.BIPARTITE))):
+        for table in (CODES, DIST_LIMITS, DENSITY_LIMITS):
+            assert table[member] is table[getattr(Family, member.name)]
+    assert CODES[Family("kn")].sink(2) == (2, 2) and DIST_LIMITS[Family("knn")] == 50
+
+
+def test_configuration_exact_form():
+    spec = complete(3)
+    w = Configuration.from_units(spec, [4, 0, 4], 6)
+    assert w.values == (Fraction(2, 3), 0, Fraction(2, 3)) and w.exact == ((4, 0, 4), 6)
+    assert w.values[0] is w.values[2]  # one Fraction per distinct value
+    plain = Configuration(spec, w.values)  # not a field: equal, same hash and repr
+    assert plain == w and hash(plain) == hash(w) and repr(plain) == repr(w)
+    assert plain.exact == ((2, 0, 2), 3)
+    assert Configuration(spec, (0, 1, 5)).exact == ((0, 1, 5), 1)
+    for values in ((0, 0.5, 1), (0, True, 1), (0, np.int64(1), 2), (0, Fraction(1, 2), 1.0)):
+        assert Configuration(spec, values).exact is None, values
+    for den in (0, -1):
+        with pytest.raises(ValueError, match="den must be > 0"):
+            Configuration.from_units(spec, [0, 1, 2], den)

@@ -147,6 +147,36 @@ def test_kn_space_built_once_per_n(monkeypatch):
     assert built.count(5) <= 1
 
 
+def test_verify_witness_reads_the_exact_form_as_the_reference_units_do():
+    # every witness of the 768 K5 jump-path queries and of the knn2 and knn3 orders
+    # (balanced and unbalanced), checked three ways: with the integers its builder
+    # handed over, as a plain copy that computes them from its values, and in the
+    # reference units (ratios, lcm, rescale) as ints; against its own order and the
+    # order before it, so that both verdicts occur
+    cases = [(order, False) for order in _k5_jump_orders()]
+    for n, balanced in ((2, False), (2, True), (3, False), (3, True)):
+        cases += [(IncrementOrder(Family.BIPARTITE, n, labels), balanced)
+                  for _, labels in enumerate_realizable_orderings_knn(n, balanced)]
+    verdicts = []
+    for i, (order, balanced) in enumerate(cases):
+        w = feasible(order, balanced)
+        if w is None:
+            continue
+        copy = Configuration(w.spec, w.values)
+        ratios = [v.as_integer_ratio() for v in w.values]
+        scale = math.lcm(*[d for _, d in ratios])
+        units = Configuration(w.spec, tuple(p * (scale // d) for p, d in ratios))
+        for config in (w, copy):
+            ints, den = config.exact
+            assert den > 0 and all(Fraction(a, den) == v for a, v in zip(ints, config.values))
+        for other in (order, cases[i - 1][0]):
+            verdicts.append(verify_witness(other, w))
+            assert verdicts[-1] == verify_witness(other, copy) == verify_witness(other, units), (
+                order.labels, other.labels)
+    assert len(verdicts) == 2 * (114 + 24 + 3504 + 312)
+    assert all(verdicts[::2]) and False in verdicts[1::2]
+
+
 def _verify_directly(order, config):
     # the substitution check read straight off the values, in their own arithmetic
     if (config.spec.family, config.spec.n) != (order.family, order.n) or not config.is_ordered():

@@ -1,5 +1,8 @@
+import functools
 import hashlib
 import json
+import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,20 +11,27 @@ import pytest
 
 from syncpaths.codes import (
     CODES,
+    catalan,
     encode_kn,
     encode_knn,
     enumerate_phi_n,
     enumerate_phi_nn,
+    narayana_count,
 )
 from syncpaths import witness
 from syncpaths.errors import InvalidCodeError
-from syncpaths.graphs import Family
+from syncpaths.graphs import Configuration, Family
 from syncpaths.witness import (
     forest_decomposition,
-    overlap_blocks,
     witness_kn,
     witness_knn,
 )
+
+
+def overlap_blocks(code):
+    """Maximal runs of rows whose consecutive column intervals intersect; validates
+    the code through the module's own ``validate_knn``, as a monkeypatch sees it."""
+    return witness._blocks(*witness.validate_knn(code))
 
 
 def test_forest_identity():
@@ -163,7 +173,7 @@ def test_witness_knn_validates_once(monkeypatch):
     monkeypatch.setattr(witness, "validate_knn", lambda code: calls.append(code) or real(code))
     witness_knn(((1, 2), (1, 2)), 1)
     assert len(calls) == 1
-    # the public block splitter still validates what it is given
+    # the block splitter above validates what it is given
     with pytest.raises(InvalidCodeError):
         overlap_blocks(((3, 3), (1, 1)))
     assert len(calls) == 2
@@ -231,3 +241,94 @@ def test_witness_knn_hard_ladder_cases():
     for code in (((1, 1, 1, 3), (1, 3, 3, 4)), ((1, 1, 3, 3), (1, 3, 3, 4))):
         w = witness_knn(code, 1)
         assert encode_knn(w, 1) == code
+
+
+def _reference_units(values):
+    """All-rational values as ints in units of 1/lcm of their denominators, recomputed
+    from the values (ratios, lcm, rescale); None unless each is exactly an int or a
+    Fraction.  The reference that ``Configuration.exact`` is checked against."""
+    if not {*map(type, values)} <= {int, Fraction}:
+        return None
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in ratios])
+    return [p * (scale // d) for p, d in ratios]
+
+
+def _outcome(encode, config, eps):
+    try:
+        return encode(config, eps)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_exact_form(config):
+    ints, den = config.exact
+    assert den > 0 and len(ints) == len(config.values)
+    assert all(Fraction(i, den) == v for i, v in zip(ints, config.values)), config
+
+
+def test_encoders_read_the_exact_form_as_the_reference_units_do():
+    # every code of K1-K8 and K_{1,1}-K_{4,4}, its witness at three eps, encoded at
+    # that eps and at three others (one rescaled, an int, a float), three ways: the
+    # witness with the integers its builder handed over; a plain copy that computes
+    # them from its values; and the reference units of values and eps, as ints
+    checked = 0
+    for family, build, sizes in (
+        (Family.COMPLETE, witness_kn, range(1, 9)),
+        (Family.BIPARTITE, witness_knn, range(1, 5)),
+    ):
+        encode = CODES[family].encode
+        for n in sizes:
+            for code in CODES[family].codes(n):
+                for built_at in (1, Fraction(1, 100), Fraction(3, 7)):
+                    w = build(code, built_at)
+                    copy = Configuration(w.spec, w.values)
+                    _assert_exact_form(w)
+                    _assert_exact_form(copy)
+                    for eps in (built_at, Fraction(1, 3), 2, 0.01):
+                        got = _outcome(encode, w, eps)
+                        units = _reference_units((*w.values, eps))
+                        reference = (_outcome(encode, copy, eps) if units is None else
+                                     _outcome(encode, Configuration(w.spec, tuple(units[:-1])), units[-1]))
+                        assert got == _outcome(encode, copy, eps) == reference, (code, built_at, eps)
+                        checked += 1
+                    assert encode(w, built_at) == code
+    assert checked == 4 * 3 * (sum(map(catalan, range(1, 9))) + sum(map(narayana_count, range(1, 5))))
+
+
+def test_roundtrips_never_recompute_the_exact_form(monkeypatch):
+    # the builders hand their integers over: no K8 or K_{4,4} round-trip falls back
+    # to computing the exact form from the values
+    calls = []
+    fallback = Configuration.exact.func
+
+    def counted(config):
+        calls.append(config)
+        return fallback(config)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Configuration, "exact")
+    monkeypatch.setattr(Configuration, "exact", prop)
+    plain = Configuration(witness_kn((2, 2), 1).spec, (0, Fraction(1, 2)))
+    assert plain.exact == plain.exact == ((0, 1), 2) and len(calls) == 1  # the counter counts, once
+    calls.clear()
+    for family, build, n in ((Family.COMPLETE, witness_kn, 8), (Family.BIPARTITE, witness_knn, 4)):
+        for code in CODES[family].codes(n):
+            for eps in (1, Fraction(1, 100), Fraction(3, 7)):
+                w = build(code, eps)
+                assert CODES[family].encode(w, eps) == code
+                CODES[family].encode(w, Fraction(1, 3))  # rescaled, from the same form
+    assert calls == []
+
+
+def test_witness_pickles_with_its_exact_form():
+    # pool workers send witnesses by pickle: the copy is equal, hashes alike and keeps
+    # the integers, and none of it depends on the form being seeded
+    for w in (witness_kn((2, 2, 4, 4), Fraction(1, 100)),
+              witness_knn(((1, 1, 2), (2, 3, 3)), Fraction(3, 7)),
+              witness_knn(((1, 2), (1, 2)), 1)):
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and hash(back) == hash(w) and repr(back) == repr(w)
+        assert back.exact == w.exact
+        plain = Configuration(w.spec, w.values)
+        assert plain == w and hash(plain) == hash(w) and repr(plain) == repr(w)
