@@ -48,8 +48,8 @@ from .realizability import (
 from .verify import report_to_json, run_verify
 from .witness import witness_kn, witness_knn
 
-# the realizable-path search took 1.4-1.5 s serially at n=6, end to end
-# (2026-10-19, 2-core VM, CPython 3.11), and grows steeply with n; above it
+# the realizable-path search took 0.52-0.57 s serially at n=6, end to end
+# (2026-10-22, 2-core Xeon VM, CPython 3.11.7), and grows steeply with n; above it
 # `count` reports the Golomb reference instead
 COUNT_SEARCH_MAX_N = 6
 

@@ -123,14 +123,15 @@ def _code_table(n: int, width: int, bounds) -> np.ndarray:
 def _sweep_input(config: Configuration, eps, unsorted: str) -> tuple[Sequence, object]:
     """config.groups() and eps, checked sorted and by ``check_positive``; all-rational
     input as ints in units of 1/lcm(config.exact's den, eps's denominator)."""
-    values, unit, n = config.values, eps, config.spec.n
-    if type(eps) in _RATIONAL and (exact := config.exact) is not None:
-        (values, den), (num, d) = exact, eps.as_integer_ratio()
+    exact, unit = config.exact if type(eps) in _RATIONAL else None, eps
+    values = config.values if exact is None else exact[0]  # a witness's ints: no Fractions made
+    if exact is not None:
+        den, (num, d) = exact[1], eps.as_integer_ratio()
         if (scale := math.lcm(den, d)) != den:  # a witness's den is already a multiple of d
             values = [v * (scale // den) for v in values]
         unit = num * (scale // d)
     check_positive(eps, unit=unit)
-    groups = (values,) if len(values) == n else (values[:n], values[n:])  # one per party
+    groups = config.groups(values)
     for g in groups:
         if not all(map(le, g, g[1:])):
             raise ValueError(unsorted)

@@ -54,6 +54,10 @@ class GraphSpec:
             return self.n * (self.n - 1) // 2
         return self.n * self.n
 
+    def _check_count(self, count: int) -> None:
+        if count != self.vertex_count:
+            raise ValueError(f"expected {self.vertex_count} values, got {count}")
+
     def edges(self) -> Iterator[Edge]:
         """All edges as 1-based pairs (u, v) with u < v, lexicographic."""
         if self.family is Family.COMPLETE:
@@ -77,30 +81,38 @@ def bipartite(n: int) -> GraphSpec:
 class Configuration:
     """Vertex positions (radians when driving the Kuramoto flow).
 
-    Values may be floats or exact ``Fraction``s; predicates below compare
-    exactly whichever representation is used.  ``exact`` is their integer form.
+    Values may be floats or exact ``Fraction``s; predicates below compare exactly
+    whichever is used.  ``exact`` is their integer form; ``from_units`` gives it alone,
+    and makes the Fractions on the first read of ``values``, which the encoders and
+    ``verify_witness`` never make.
     """
 
     spec: GraphSpec
     values: tuple[Number, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.spec.vertex_count:
-            raise ValueError(
-                f"expected {self.spec.vertex_count} values, got {len(self.values)}"
-            )
+        self.spec._check_count(len(self.values))
 
     @classmethod
     def from_units(cls, spec: GraphSpec, ints, den: int) -> Configuration:
-        """The configuration of values ints[i] / den, den > 0, one Fraction per distinct
-        value; its ``exact`` is (ints, den) as given, so no reader recomputes it."""
+        """Values ints[i] / den, den > 0, held as ``exact`` = (ints, den) alone; one Fraction per
+        distinct value is made on the first read of ``values`` (no encoder or verify_witness does)."""
         if den <= 0:
             raise ValueError(f"den must be > 0, got {den}")
         ints = tuple(ints)
-        fractions = {v: Fraction(v, den) for v in set(ints)}
-        config = cls(spec, tuple(map(fractions.__getitem__, ints)))
-        object.__setattr__(config, "exact", (ints, den))  # seeds the cached property
+        spec._check_count(len(ints))
+        config = object.__new__(cls)
+        config.__dict__.update(spec=spec, exact=(ints, den))  # exact seeds the cached property
         return config
+
+    def __getattr__(self, name: str):
+        """A from_units ``values``, made on first read; a half-built object (pickle) has none."""
+        if name != "values" or "exact" not in (state := self.__dict__):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ints, den = state["exact"]
+        fractions = {v: Fraction(v, den) for v in set(ints)}
+        state["values"] = values = tuple(map(fractions.__getitem__, ints))
+        return values
 
     @cached_property
     def exact(self) -> tuple[tuple[int, ...], int] | None:
@@ -130,11 +142,10 @@ class Configuration:
             raise ValueError(f"party must be 1 or 2, got {which}")
         return self.values[:n] if which == 1 else self.values[n:]
 
-    def groups(self) -> tuple[tuple[Number, ...], ...]:
-        """The whole configuration (complete) or its two parties (bipartite)."""
-        if self.spec.family is Family.COMPLETE:
-            return (self.values,)
-        return self.party(1), self.party(2)
+    def groups(self, x=None) -> tuple[tuple[Number, ...], ...]:
+        """The whole configuration (complete) or its two parties (bipartite); of x if given."""
+        x, n = self.values if x is None else x, self.spec.n
+        return (x,) if self.spec.family is Family.COMPLETE else (x[:n], x[n:])
 
     def party_means(self) -> tuple[Fraction, Fraction]:
         p1, p2 = self.party(1), self.party(2)
@@ -145,8 +156,10 @@ class Configuration:
         )
 
     def is_ordered(self) -> bool:
-        """Nondecreasing within each group (see groups)."""
-        return all(all(a <= b for a, b in zip(s, s[1:])) for s in self.groups())
+        """Nondecreasing within each group (see groups), on the exact ints when they are known."""
+        exact = self.__dict__.get("exact")
+        groups = self.groups(None if exact is None else exact[0])
+        return all(all(a <= b for a, b in zip(s, s[1:])) for s in groups)
 
     def is_balanced(self) -> bool:
         """Equal party means (bipartite only); exact comparison."""

@@ -407,10 +407,10 @@ def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     return [order for _key, order in _orbit_search(Family.COMPLETE, n)]
 
 
-# n=7 (107498 classes) is the largest count measured to finish, in 36 s on one
-# core and 16 s with two (2026-10-20, 2-core VM, CPython 3.11; the VM's speed
-# varies up to 1.8x); n=8 has 68 times as many classes, so by that scaling alone
-# its search would take 18 minutes or more with two (not measured)
+# n=7 (107498 classes) is the largest count measured to finish, in 27.5-29.0 s on
+# one core and 14.1-21.3 s with two (2026-10-22, 2-core Xeon VM, CPython 3.11.7;
+# the VM's speed varies up to 1.8x); n=8 has 68 times as many classes, so by that
+# scaling alone its search would take 16 minutes or more with two (not measured)
 COUNT_LIMIT = 7
 
 
@@ -470,8 +470,8 @@ def arrangements(n: int) -> list[tuple[int, ...]]:
 
 
 # `count --family knn` reports orderings up to here: n=3 (20 interleavings of
-# 9 magnitudes, 7 searched) took 0.33-0.50 s end to end, 0.24-0.33 s balanced
-# (2026-10-20, 2 cores, CPython 3.11); n=4 has 70 interleavings of 16 magnitudes
+# 9 magnitudes, 7 searched) took 0.34-0.38 s end to end, 0.30-0.38 s balanced
+# (2026-10-22, 2-core Xeon VM, CPython 3.11.7); n=4 has 70 interleavings of 16 magnitudes
 ORDERING_LIMIT_KNN = 3
 
 
@@ -577,8 +577,8 @@ def verify_witness(order: IncrementOrder, config: Configuration) -> bool:
     the claimed strict order exactly."""
     if (config.spec.family, config.spec.n) != (order.family, order.n) or not config.is_ordered():
         return False
-    x, n, kn = config.values, order.n, order.family is Family.COMPLETE
-    x = x if (exact := config.exact) is None else exact[0]  # exact, in ints
+    x = config.values if (exact := config.exact) is None else exact[0]  # exact, in ints
+    n, kn = order.n, order.family is Family.COMPLETE
     # K_n's (a, k) reads x_{a+k} - x_a (sign 1), K_{n,n}'s (r, c, q) q (x_{n+c} - x_r)
     mags = [q * (x[(u if kn else n) + w - 1] - x[u - 1])
             for u, w, q in ((*lab, 1)[:3] for lab in order.labels)]

@@ -19,7 +19,8 @@ block the first-party positions solve a small difference-constraint system
 then placed greedily inside their per-column windows.  Both builders read
 eps once, as its integer ratio, count every coordinate in integers of a unit
 fixed before placement, and hand them with their denominator to
-``Configuration.from_units``: the witness's ``exact`` form, read as it is.
+``Configuration.from_units``: the witness's ``exact`` form, which the encoders
+and ``verify_witness`` read; its Fractions are made on the first read of ``values``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import prod
 
 from .codes import KnCode, KnnCode, validate_kn, validate_knn
 from .errors import SyncPathsError
-from .graphs import Configuration, bipartite, check_positive, complete
+from .graphs import _RATIONAL, Configuration, bipartite, check_positive, complete
 
 _complete, _bipartite = lru_cache(complete), lru_cache(bipartite)  # specs are frozen: one per n
 
@@ -73,6 +74,13 @@ def forest_decomposition(code: KnCode) -> WitnessForest:
     })
 
 
+def _eps_ratio(eps) -> tuple[int, int]:
+    """eps's integer ratio, read once; ``check_positive`` tests an int or Fraction's numerator."""
+    ratio = eps.as_integer_ratio() if type(eps) in _RATIONAL else None
+    check_positive(eps, unit=ratio and ratio[0])
+    return ratio or Fraction(eps).as_integer_ratio()
+
+
 def witness_kn(code: KnCode, eps) -> Configuration:
     """Ordered configuration whose encoding is exactly the given code.
 
@@ -87,8 +95,7 @@ def witness_kn(code: KnCode, eps) -> Configuration:
     the product of the sibling-run lengths, so every share divides exactly.
     """
     code = validate_kn(code)
-    check_positive(eps)  # then eps is read once, as the integer ratio of Fraction(eps)
-    num, den = (eps if type(eps) in (int, Fraction) else Fraction(eps)).as_integer_ratio()
+    num, den = _eps_ratio(eps)
     n = len(code)
     depth, kids = _depths_and_kids(code)
     unit = prod(filter(None, kids))  # eps in units
@@ -171,8 +178,7 @@ def witness_knn(code: KnnCode, eps) -> Configuration:
     columns, block by block, and the columns no row covers in between.
     """
     alpha, omega = validate_knn(code)
-    check_positive(eps)  # as in witness_kn
-    num, den = (eps if type(eps) in (int, Fraction) else Fraction(eps)).as_integer_ratio()
+    num, den = _eps_ratio(eps)
     n = len(alpha)
     solved, top = [], 0  # per block: (rows lo..hi, retries k, row offsets, column spans)
     for lo, hi in _blocks(alpha, omega):

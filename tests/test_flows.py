@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -400,6 +401,41 @@ def test_kuramoto_never_swaps_coordinates():
     for _ in range(2000):
         state = step(state, 1.0, h)
         assert all(state[i] <= state[i + 1] for i in range(n - 1))
+
+
+def _cross_ratios(x, groups):
+    """Cross-ratio (z_a - z_c)(z_b - z_d) / ((z_a - z_d)(z_b - z_c)) of z = e^{i theta} for
+    every four vertices a < b < c < d of one group; on the unit circle it is the real
+    ratio of half-angle sines below, which keeps its precision as the phases close up."""
+    return [math.sin((x[a] - x[c]) / 2) * math.sin((x[b] - x[d]) / 2)
+            / (math.sin((x[a] - x[d]) / 2) * math.sin((x[b] - x[c]) / 2))
+            for g in groups for a, b, c, d in itertools.combinations(g, 4)]
+
+
+def test_kuramoto_kernel_conserves_watanabe_strogatz_cross_ratios():
+    # identical oscillators driven by one common field, d theta_j / dt = Im(H e^{-i theta_j}),
+    # move the points e^{i theta_j} by Moebius maps (Watanabe and Strogatz, Physica D 74,
+    # 1994), so the cross-ratio of any four is a constant of motion: on K_n all vertices
+    # feel H = sigma sum_k e^{i theta_k}, on K_{n,n} each party the other party's field.
+    # A coupling term missing or wrong in one compiled size drifts them by 1e-1 or more;
+    # the RK4 error at h = 1e-3 keeps them to 1e-10
+    rng = np.random.default_rng(14)
+    for size, n_party in [(n, 0) for n in range(4, 9)] + [(8, 4), (10, 5)]:
+        groups = [range(size)] if n_party == 0 else [range(n_party), range(n_party, size)]
+        for unit_sigma in (True, False):
+            step = _kernels._step_function(size, n_party, unit_sigma)
+            sigma = 1.0 if unit_sigma else float(rng.uniform(0.5, 2.0))
+            for spread in (0.01, 1.0):  # near the diagonal and far from it
+                x = sorted(float(v) for v in rng.uniform(-spread, spread, size))
+                start, width = _cross_ratios(x, groups), x[-1] - x[0]
+                for _ in range(5000):  # until the spread falls to 1e-3 of its start
+                    if max(x) - min(x) <= 1e-3 * width:
+                        break
+                    x = step(x, sigma, 1e-3)
+                else:
+                    raise AssertionError(f"no contraction on {(size, n_party, sigma, spread)}")
+                drift = max(abs(a - b) / abs(b) for a, b in zip(_cross_ratios(x, groups), start))
+                assert drift < 1e-8, (size, n_party, sigma, spread, drift)
 
 
 def test_kuramoto_kernel_output_is_pinned():

@@ -165,3 +165,21 @@ def test_configuration_exact_form():
     for den in (0, -1):
         with pytest.raises(ValueError, match="den must be > 0"):
             Configuration.from_units(spec, [0, 1, 2], den)
+
+
+def test_lazy_configuration_keeps_its_guards():
+    # from_units checks its count itself, as __post_init__ does; the lazy values are
+    # the only attribute __getattr__ makes, and a half-built object has none to make
+    spec = complete(3)
+    with pytest.raises(ValueError, match="expected 3 values, got 2"):
+        Configuration.from_units(spec, [0, 1], 1)
+    for den in (0, -1):
+        with pytest.raises(ValueError, match="den must be > 0"):
+            Configuration.from_units(spec, [0, 1, 2], den)
+    w = Configuration.from_units(spec, [0, 1, 2], 2)
+    assert not hasattr(w, "nope") and "values" not in vars(w)
+    assert w.values == (0, Fraction(1, 2), 1)
+    half = object.__new__(Configuration)
+    for name in ("values", "exact", "__setstate__"):
+        with pytest.raises(AttributeError):
+            getattr(half, name)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -26,6 +28,7 @@ from syncpaths.witness import (
     witness_kn,
     witness_knn,
 )
+from syncpaths.realizability import feasible, path_to_ordering_kn, verify_witness
 
 
 def overlap_blocks(code):
@@ -332,3 +335,52 @@ def test_witness_pickles_with_its_exact_form():
         assert back.exact == w.exact
         plain = Configuration(w.spec, w.values)
         assert plain == w and hash(plain) == hash(w) and repr(plain) == repr(w)
+
+
+def test_witnesses_make_their_fractions_only_when_read():
+    # the lazy form as an oracle: every witness of K1-K8 and K_{1,1}-K_{4,4} at three eps
+    # encodes at its own eps without making its Fractions; read, they are the eager
+    # tuple, one object per distinct value, and every dataclass service agrees with the
+    # eager configuration, a pickle taken before the first read among them
+    for family, build, sizes in (
+        (Family.COMPLETE, witness_kn, range(1, 9)),
+        (Family.BIPARTITE, witness_knn, range(1, 5)),
+    ):
+        for n in sizes:
+            for code in CODES[family].codes(n):
+                for eps in (1, Fraction(1, 100), Fraction(3, 7)):
+                    w = build(code, eps)
+                    assert CODES[family].encode(w, eps) == code and "values" not in vars(w)
+                    early, shallow = pickle.dumps(w), copy.copy(w)
+                    ints, den = w.exact
+                    eager = Configuration(w.spec, tuple(Fraction(i, den) for i in ints))
+                    assert w.values == eager.values and "values" in vars(w)
+                    assert len({*map(id, w.values)}) == len({*ints})
+                    expected = hash(eager), repr(eager)
+                    for other in (w, pickle.loads(early), pickle.loads(pickle.dumps(w)),
+                                  shallow, dataclasses.replace(w)):
+                        assert other == eager and (hash(other), repr(other)) == expected, code
+                        # iter and [k] hand out the very objects just compared
+                        assert tuple(other) == other.values
+                        assert tuple(map(other.__getitem__, range(1, len(ints) + 1))) == other.values
+
+
+def test_feasibility_queries_make_no_fractions():
+    # the 768 K5 jump-path feasibility queries and their witness checks read the exact
+    # ints alone: no witness makes its values
+    from syncpaths.diagram import successors_kn
+
+    identity, checked = (1, 2, 3, 4, 5), []
+
+    def walk(code, sites):
+        nxt = successors_kn(code)
+        if not nxt:
+            order = path_to_ordering_kn(identity, sites)
+            config = feasible(order)
+            checked.append(config is None or verify_witness(order, config))
+            assert config is None or "values" not in vars(config), sites
+        for site, target in nxt:
+            walk(target, sites + [site])
+
+    walk(identity, [])
+    assert len(checked) == 768 and all(checked)
