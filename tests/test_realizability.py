@@ -447,8 +447,16 @@ def test_lp_call_counts_are_pinned(enumerate_rows, work, monkeypatch):
             lambda: enumerate_realizable_orderings_knn(3, balanced=True),
             "a72786433791a99f3846de0a0a6b09deb18120ac70dfb4837c489223d44c5826",
         ),
+        (
+            lambda: enumerate_realizable_orderings_kn(6),
+            "9ed335495bca50ea51fd4bb80617b6e3c49d79eb8cab2ecf51580362312b0ad7",
+        ),
+        (
+            lambda: enumerate_realizable_orderings_knn(3),
+            "e60e0ef0ee02c4be04a604093327d7569f42f99bd6a206fce0660e7fbc90418b",
+        ),
     ],
-    ids=["kn5", "knn3-balanced"],
+    ids=["kn5", "knn3-balanced", "kn6", "knn3"],
 )
 def test_enumeration_order_is_pinned(enumerate_rows, digest):
     # the lists as returned, not sorted: the search's depth-first item order
