@@ -48,9 +48,10 @@ from .realizability import (
 from .verify import report_to_json, run_verify
 from .witness import witness_kn, witness_knn
 
-# the realizable-path search took 0.52-0.57 s serially at n=6, end to end
-# (2026-10-22, 2-core Xeon VM, CPython 3.11.7), and grows steeply with n; above it
-# `count` reports the Golomb reference instead
+# the realizable-path search took 0.57-0.62 s serially at n=6, end to end, most of
+# it start-up (2026-10-22, 2-core Xeon VM, CPython 3.11.7), and grows steeply with
+# n (see realizability.COUNT_LIMIT); above it `count` reports the Golomb reference
+# instead
 COUNT_SEARCH_MAX_N = 6
 
 

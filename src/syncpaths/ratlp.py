@@ -1,177 +1,97 @@
-"""Exact linear feasibility (phase-1 simplex by fraction-free integer pivoting).
+"""Exact feasibility of an open cone, decided through its Gordan/Motzkin alternative.
 
-Decides whether {x >= 0 : A x >= b, C x = f} is nonempty and returns a
-rational point when it is.  Bland's rule guarantees termination.  Problems
-here are tiny (tens of rows/columns), so a dense tableau is fine; all
-arithmetic is exact, there is no floating point anywhere.  The point comes
-back as integer numerators over the tableau's own common denominator d > 0
-(below), so no Fraction is built; callers that need rationals make them.
+The cone is {x >= 0 : r.x >= 1 for each strict row r, e.x = 0 for each
+equality row e}, rows of ints; it is homogeneous, so "r.x > 0" scales to
+"r.x >= 1".  By the transposition theorem (Gordan; Motzkin for the non-strict
+x >= 0; Schrijver, *Theory of Linear and Integer Programming*, 1986) it
+is empty exactly when some lambda >= 0 has A lambda = b = (0, ..., 0, 1),
+where A has dim + 1 rows and one column per strict row, (r, 1), per variable's
+x_i >= 0, (u_i, 0), and per sign of an equality row, (+-e, 0).
 
-The input (ints or Fractions) is scaled by L, the lcm of every denominator,
-so the tableau starts in integers (int rows are taken as given, L = 1);
-slack and artificial entries stay +-1.
-For the LP this is only a positive rescaling of the slack and artificial
-variables and of the phase-1 objective, so every reduced-cost sign, every
-ratio-test argmin and the structural point are those of the rational
-tableau.  The tableau is kept as integers T with one common denominator
-d > 0 (each real entry is T/d).  A pivot on p = T[r][e] (Edmonds 1967,
-Bareiss 1968) leaves row r as it is and replaces every other row by
-(T[i]*p - T[i][e]*T[r]) // d, a division that is always exact because each
-entry is a minor of the initial matrix; then d = p, which stays positive
-because the ratio test pivots on positive entries only.  Artificial columns
-are never read after phase 1 starts (they cannot re-enter), so they are not
-stored.
+``Cone`` solves that as a phase-1 simplex with Bland's rule, starting from the
+artificial basis of A lambda + a = b; artificials rank first in Bland's order,
+and one that leaves never re-enters.  It is the revised form: only D*B^-1 is
+kept (B^-1 b is its last column, as b is the last unit vector), D = det B > 0,
+with the objective row y = c_B (D*B^-1) over the artificial block; a column is
+priced when it is needed, and enters when y.col > 0.  A pivot on
+p = (D*B^-1 col)[r] > 0 (Edmonds 1967, Bareiss 1968) keeps row r and replaces
+every other row, y included, by (row*p - row.col * row_r) // D, an exact
+division (the rows become the new adj B, and y c_B times it); then D = p.
 
-A ``Tableau`` takes rows after a solve, each written in the current basis
-as d*a - sum a[B_i]*T_i (a row of the enlarged system's Bareiss tableau, so
-its entries are minors too), and re-solves from there.  Each phase 1 sums
-every basic artificial, those left basic at zero before included, since
-such a row may pin variables to zero.  A fresh tableau runs the one-shot
-simplex bit for bit: rows as given, artificials after every surplus column.
+The solve stops when no column prices out.  If the objective y[dim] is then 0,
+the basic lambda solves the alternative: the cone is empty.  Otherwise
+y.col <= 0 for every column, so x = -y[:dim] / y[dim] has r.x >= 1, x >= 0 and
+e.x = 0 exactly: that witness comes back as integer numerators over
+y[dim] > 0, with no Fraction built.  Rows added after a solve are new columns:
+the basis stays feasible, and the next solve goes on from it.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-Row = tuple[Sequence[int | Fraction], int | Fraction]
+Row = Sequence[int]
 
 
-# artificials are numbered from here up, so they rank after every surplus
-# column in Bland's tie-break however many rows are added later
-_ART = 1 << 62
+class Cone:
+    """Phase-1 state of one cone; ``pivots`` counts the pivots made to reach it, those
+    before its ``copy()`` included."""
 
+    __slots__ = ("cols", "inv", "obj", "basis", "d", "priced", "pivots")
 
-class Tableau:
-    """Phase-1 tableau of {x >= 0 : the added rows hold}; ``pivots`` counts
-    the pivots made to reach it, those before its ``copy()`` included."""
+    def __init__(self, dim: int) -> None:
+        unit = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim + 1)]
+        self.cols, self.inv = unit[:dim], unit   # the columns of x_i >= 0; D*B^-1 = I
+        self.obj = (1,) * (dim + 1)      # every artificial basic
+        self.basis = [-1] * (dim + 1)    # -1: an artificial, ranked first in Bland's order
+        self.d, self.priced, self.pivots = 1, 0, 0   # columns below priced are known not to enter
 
-    __slots__ = ("num_vars", "n_cols", "tab", "basis", "d", "next_art", "pivots")
-
-    def __init__(self, num_vars: int) -> None:
-        self.num_vars = self.n_cols = num_vars
-        self.tab: list[list[int]] = []   # n_cols entries, then the rhs
-        self.basis: list[int] = []
-        self.d, self.next_art, self.pivots = 1, _ART, 0
-
-    def copy(self) -> Tableau:
-        new = Tableau(self.num_vars)
-        new.n_cols, new.d, new.next_art = self.n_cols, self.d, self.next_art
-        new.tab, new.basis = list(self.tab), list(self.basis)  # rows are replaced, never changed
-        new.pivots = self.pivots
+    def copy(self) -> Cone:
+        new = Cone.__new__(Cone)         # inv and obj are replaced, never changed
+        new.inv, new.obj, new.d = self.inv, self.obj, self.d
+        new.priced, new.pivots = self.priced, self.pivots
+        new.cols, new.basis = list(self.cols), list(self.basis)
         return new
 
-    def add(self, ge_rows: Sequence[Row] = (), eq_rows: Sequence[Row] = ()) -> None:
-        """Add rows (ge rows with >=, eq rows with =), written in the current basis."""
-        given = list(ge_rows)
-        n_ge = len(given)
-        given += eq_rows
-        if not given:
-            return
-        ints = all({type(b), *map(type, coeffs)} == {int} for coeffs, b in given)
-        scale = 1 if ints else math.lcm(*(v.denominator for cs, b in given for v in (*cs, b)))
-
-        # Columns: structural x, then one surplus per ge row (-d, or a +d slack
-        # when the row is flipped for rhs < 0), then the rhs.  Rows whose slack
-        # is not usable get an (unstored) artificial.
-        d, tab, basis, nv = self.d, self.tab, self.basis, self.num_vars
-        n_old = self.n_cols
-        n_cols = self.n_cols = n_old + n_ge
-        if tab and n_ge:
-            tab[:] = [row[:-1] + [0] * n_ge + row[-1:] for row in tab]
-        # a row a is written in the basis as d*a - sum a[B_i]*T_i over basic structurals
-        reduce = [(bv, row) for bv, row in zip(basis, tab) if bv < nv] if tab else ()
-        next_art = self.next_art
-        for i, (coeffs, b) in enumerate(given):
-            row = list(coeffs) if ints else [v.numerator * (scale // v.denominator) for v in coeffs]
-            row += [0] * (n_cols - len(row))
-            row.append(b if ints else b.numerator * (scale // b.denominator))
-            if reduce:
-                a, row = row, [v * d for v in row]
-                for bv, t in reduce:
-                    if a[bv]:
-                        row = [v - a[bv] * w for v, w in zip(row, t)]
-            flip = row[-1] < 0
-            if flip:
-                row = [-v for v in row]
-            if i < n_ge:
-                row[n_old + i] = d if flip else -d
-            if i < n_ge and flip:
-                basis.append(n_old + i)
-            else:
-                basis.append(next_art)
-                next_art += 1
-            tab.append(row)
-        self.next_art = next_art
+    def add(self, strict: Sequence[Row] = (), eq: Sequence[Row] = ()) -> None:
+        """Add strict rows (r.x >= 1) and equality rows (e.x = 0) as columns."""
+        self.cols += [(*r, 1) for r in strict]
+        self.cols += [col for e in eq for col in ((*e, 0), (*(-v for v in e), 0))]
 
     def solve(self) -> tuple[list[int], int] | None:
-        """A point of the rows added so far, as (numerators, d), or None."""
-        tab, basis, n_cols = self.tab, self.basis, self.n_cols
-        m = len(tab)
-        # Objective row (appended last): minimize the sum of the basic
-        # artificials, those left basic at zero by an earlier solve included.
-        # Reduced costs times d; its rhs entry is minus the objective times d.
-        art_rows = [row for row, bv in zip(tab, basis) if bv >= _ART]
-        tab.append([-sum(col) for col in zip(*art_rows)] if art_rows else [0] * (n_cols + 1))
-
-        d = self.d
+        """A point of the cone as (numerators, d), d > 0, or None when it is empty."""
+        cols, inv, obj, basis, d = self.cols, self.inv, self.obj, self.basis, self.d
+        j = self.priced
         while True:
-            obj = tab[m]
-            for enter in range(n_cols):
-                if obj[enter] < 0:
+            for j in range(j, len(cols)):    # Bland: the first column that prices out
+                if (f := sum(map(mul, obj, cols[j]))) > 0:
                     break
             else:
                 break
-            leave = -1
-            for i in range(m):
-                row = tab[i]
-                a = row[enter]
-                if a > 0:
-                    if leave < 0:
-                        leave, num, den = i, row[-1], a
-                        continue
-                    lhs, rhs = row[-1] * den, num * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave, num, den = i, row[-1], a
-            if leave < 0:
-                # Unbounded in phase 1 cannot happen (objective bounded below
-                # by 0); defensive guard.
+            t = [sum(map(mul, row, cols[j])) for row in inv]
+            r = -1
+            for i, a in enumerate(t):        # ratio test on rhs = the last column of D*B^-1
+                if a > 0 and (r < 0 or (lhs := inv[i][-1] * p) < (rhs := inv[r][-1] * a)
+                              or lhs == rhs and basis[i] < basis[r]):
+                    r, p = i, a
+            if r < 0:  # the phase-1 objective is bounded below by 0; defensive guard
                 raise RuntimeError("phase-1 simplex unbounded")
-            # Integer pivot on p = tab[leave][enter] > 0; p is the new d.
-            prow = tab[leave]
-            p = prow[enter]
-            for i, row in enumerate(tab):
-                f = row[enter]
-                if f and i != leave:
-                    tab[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
-                elif not f and p != d:
-                    tab[i] = [a * p // d for a in row]
-            d, basis[leave] = p, enter
+            prow = inv[r]
+            inv = [prow if i == r else [(a * p - ti * b) // d for a, b in zip(row, prow)]
+                   for i, (row, ti) in enumerate(zip(inv, t))]
+            obj = [(a * p - f * b) // d for a, b in zip(obj, prow)]
+            d, basis[r], j = p, j, 0
             self.pivots += 1
-        tab.pop()
-        self.d = d
-
-        if obj[-1] != 0:
+        self.inv, self.obj, self.d, self.priced = inv, obj, d, len(cols)
+        if obj[-1] == 0:
             return None
-
-        # Artificials still basic here sit at zero.  Pivoting them out (on any
-        # nonzero entry of their row) would be degenerate: their rhs is 0, so
-        # no basic value, and hence no coordinate of x, would change.
-        x = [0] * self.num_vars
-        for i in range(m):
-            if basis[i] < self.num_vars:
-                x[basis[i]] = tab[i][-1]
-        return x, d
+        return [-v for v in obj[:-1]], obj[-1]
 
 
 def solve_feasibility(num_vars: int, ge_rows: Sequence[Row] = (), eq_rows: Sequence[Row] = ()):
-    """A point of {x >= 0 : ge rows hold with >=, eq rows with =}, or None.
-
-    The point is (numerators, d): coordinate j is numerators[j] / d, d > 0.
-    """
-    lp = Tableau(num_vars)
-    lp.add(ge_rows, eq_rows)
-    return lp.solve()
-
+    """One cold solve of {x >= 0 : r.x >= 1 for r in ge_rows, e.x = 0 for e in eq_rows}:
+    (numerators, d), coordinate j being numerators[j] / d, or None when it is empty."""
+    cone = Cone(num_vars)
+    cone.add(ge_rows, eq_rows)
+    return cone.solve()

@@ -3,9 +3,9 @@
 An admissible path prescribes a strict order on pairwise increments (complete
 family) or on signed cross-difference magnitudes (bipartite family).  Whether
 some configuration actually produces that order is a linear feasibility
-question over an open homogeneous cone; strict inequalities are normalized to
-slack-1 form and decided exactly (see ``ratlp``), so every "feasible" verdict
-carries an exact rational witness.
+question over an open homogeneous cone, decided exactly through its Gordan
+alternative (see ``ratlp``), so every "feasible" verdict carries an exact
+rational witness.
 
 Both families enumerate their orders with one generator, ``_chains``: a
 depth-first extension "which item is next smallest", pruned by interval
@@ -14,7 +14,8 @@ feasibility of each prefix, whose LP puts only the containment-minimal open
 items above it.  Its root witness is powers-of-two gaps when neither a prefix
 nor an equality row constrains it, else one cold root LP; a witness,
 integers in units of 1/d, is reused down the tree until a choice disagrees
-with it; then the LP re-solves warm from the last tableau on the path.
+with it; then the new rows join the last LP on the path as columns of its
+cone, and the solve goes on from that LP's basis.
 Counting feasible full orders for the complete graph counts combinatorial
 classes of Golomb rulers.
 
@@ -115,35 +116,36 @@ class IncrementOrder:
 # ---------------------------------------------------------------------------
 
 class _ChainSpace(NamedTuple):
-    """Feasibility context: items are windows over strict (slack-1) gaps."""
+    """Feasibility context: items are windows over strictly positive gaps."""
 
     windows: tuple[tuple[int, int], ...]   # half-open gap-index windows (lo, hi)
     n_gaps: int
-    eq_rows: tuple[tuple[tuple[int, ...], int], ...]
+    eq_rows: tuple[tuple[int, ...], ...]
 
 
-def _window_row(space: _ChainSpace, a: int, b: int):
-    """Coefficients/rhs of magnitude(b) - magnitude(a) >= 1 in shifted vars."""
+def _window_row(space: _ChainSpace, a: int, b: int) -> list[int]:
+    """Coefficients of magnitude(b) - magnitude(a) over the gaps."""
     coeffs = [0] * space.n_gaps
     lo, hi = space.windows[b]
     coeffs[lo:hi] = [1] * (hi - lo)
     lo_a, hi_a = space.windows[a]
     for i in range(lo_a, hi_a):
         coeffs[i] -= 1
-    return coeffs, 1 - (hi - lo) + (hi_a - lo_a)
+    return coeffs
 
 
-def _solve_chain(space: _ChainSpace, lp: ratlp.Tableau, chain: tuple[int, ...], k: int,
-                 tails: Iterable[int], eq_rows=()):
+def _gap_rows(space: _ChainSpace) -> list[list[int]]:
+    """The rows g_i > 0 of every gap."""
+    return [[int(i == j) for j in range(space.n_gaps)] for i in range(space.n_gaps)]
+
+
+def _solve_chain(space: _ChainSpace, lp: ratlp.Cone, chain: tuple[int, ...], k: int,
+                 tails: Iterable[int]):
     """Add to lp the rows of the chain's consecutive pairs from chain[k] on and of
     every tail above its last item; solve: gaps (gaps, d) in units of 1/d, or None."""
     pairs = [*zip(chain[k:], chain[k + 1 :]), *((chain[-1], t) for t in tails)]
-    lp.add([_window_row(space, a, b) for a, b in pairs], eq_rows)
-    point = lp.solve()
-    if point is None:
-        return None
-    y, d = point
-    return [v + d for v in y], d
+    lp.add([_window_row(space, a, b) for a, b in pairs])
+    return lp.solve()
 
 
 def _magnitudes(space: _ChainSpace, gaps: Sequence[int]) -> list[int]:
@@ -239,11 +241,14 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
     are checked, in a table built once per process (``_search_tables``).  A
     refuted node is skipped like an LP ``None``.
 
-    A node carries the tableau of the last LP on its path, solved for
+    The root cone holds the rows g > 0 of the gaps and the balanced
+    equality.  A node carries the cone of the last LP on its path, solved for
     chain[:k] with chain[k] among its tails.  A child's LP copies it, adds
-    the pairs from chain[k] on and the child's tail rows, and re-solves warm.
-    The rows it keeps of older tails are implied by the child's (containment,
-    gaps >= 1), so the region and the verdict are the child's.
+    the pairs from chain[k] on and the child's tail rows, and solves on from
+    its basis: in the cone's alternative a row is a column, so the copy grows
+    by those columns alone and no artificial re-enters.  The rows it keeps of
+    older tails are implied by the child's (containment, gaps >= 1), so the
+    region and the verdict are the child's.
     """
     masks, table = _search_tables(space.windows)
     rank = [len(masks)] * len(masks)  # off the chain: tied above it
@@ -253,10 +258,11 @@ def _chains(space: _ChainSpace, prefix: tuple[int, ...] = ()) -> Iterator[tuple[
         rank[c] = i
         if _exchanged(table, rank, c):
             return
-    lp = ratlp.Tableau(space.n_gaps)
+    lp = ratlp.Cone(space.n_gaps)
+    lp.add(_gap_rows(space), space.eq_rows)
     if prefix or space.eq_rows:
         tails = _open_items(masks, remaining) if prefix else ()
-        root = _solve_chain(space, lp, prefix, 0, tails, space.eq_rows)
+        root = _solve_chain(space, lp, prefix, 0, tails)
         if root is None:
             return
     else:
@@ -307,9 +313,9 @@ def _space(spec: GraphSpec, arr: tuple[int, ...], balanced: bool = False):
         windows.append((min(a, b), max(a, b)))
     eq_rows: tuple = ()
     if balanced:
-        # party-sum equality in shifted gap vars: sum_i c_i (y_i + 1) = 0
-        coeffs = [sum(1 if v <= n else -1 for v in arr[i + 1 :]) for i in range(len(arr) - 1)]
-        eq_rows = ((tuple(coeffs), -sum(coeffs)),)
+        # party-sum equality over the gaps: sum_i c_i g_i = 0
+        eq_rows = (tuple(sum(1 if v <= n else -1 for v in arr[i + 1 :])
+                         for i in range(len(arr) - 1)),)
     return _ChainSpace(tuple(windows), len(arr) - 1, eq_rows), labels
 
 
@@ -407,10 +413,10 @@ def enumerate_realizable_orderings_kn(n: int) -> list[tuple[KnLabel, ...]]:
     return [order for _key, order in _orbit_search(Family.COMPLETE, n)]
 
 
-# n=7 (107498 classes) is the largest count measured to finish, in 27.5-29.0 s on
-# one core and 14.1-21.3 s with two (2026-10-22, 2-core Xeon VM, CPython 3.11.7;
+# n=7 (107498 classes) is the largest count measured to finish, in 9.1-16.6 s on
+# one core and 7.6-8.3 s with two (2026-10-22, 2-core Xeon VM, CPython 3.11.7;
 # the VM's speed varies up to 1.8x); n=8 has 68 times as many classes, so by that
-# scaling alone its search would take 16 minutes or more with two (not measured)
+# scaling alone its search would take 9 minutes or more with two (not measured)
 COUNT_LIMIT = 7
 
 
@@ -521,12 +527,12 @@ def _feasible_kn(order: IncrementOrder) -> Configuration | None:
         rank[c] = i
     if any(_exchanged(table, rank, c) for c in chain):
         return None
-    ge = [_window_row(space, a, b) for a, b in zip(chain, chain[1:])]
+    ge = [*_gap_rows(space), *(_window_row(space, a, b) for a, b in zip(chain, chain[1:]))]
     point = ratlp.solve_feasibility(space.n_gaps, ge_rows=ge)
     if point is None:
         return None
-    y, d = point
-    return Configuration.from_units(spec, accumulate((v + d for v in y), initial=0), d)
+    gaps, d = point
+    return Configuration.from_units(spec, accumulate(gaps, initial=0), d)
 
 
 def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None:
@@ -550,9 +556,9 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
     prev = None
     for row, col, q in order.labels:
         c = [q * v for v in delta_coeffs(row, col)]
-        ge_rows.append((c, 1))  # sign consistency, slack-1
+        ge_rows.append(c)  # sign consistency
         if prev is not None:
-            ge_rows.append(([a - b for a, b in zip(c, prev)], 1))
+            ge_rows.append([a - b for a, b in zip(c, prev)])
         prev = c
     eq_rows = []
     if balanced:
@@ -562,7 +568,7 @@ def _feasible_knn(order: IncrementOrder, balanced: bool) -> Configuration | None
             coeffs[ng + i] = n - 1 - i    # party-two gaps
         coeffs[2 * ng] = n
         coeffs[2 * ng + 1] = -n
-        eq_rows.append((coeffs, 0))
+        eq_rows.append(coeffs)
     point = ratlp.solve_feasibility(nv, ge_rows=ge_rows, eq_rows=eq_rows)
     if point is None:
         return None

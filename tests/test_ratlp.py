@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,9 +11,73 @@ from hypothesis import strategies as st
 from syncpaths import ratlp
 
 
+def primal_feasibility(num_vars, ge_rows=(), eq_rows=()):
+    """Reference oracle, the primal form: a point of {x >= 0 : a.x >= b for (a, b) in
+    ge_rows, a.x = b for (a, b) in eq_rows} as (numerators, d), d > 0, or None.
+
+    A cold phase-1 simplex with Bland's rule on one fraction-free tableau (Edmonds
+    1967, Bareiss 1968): the rows, scaled to integers by the lcm of every
+    denominator, then one surplus column per ge row (a +1 slack, basic, where the
+    row is flipped for b < 0), and an unstored artificial for every other row,
+    ranked after every surplus column.  Each entry T stands for T/d; a pivot on
+    p > 0 keeps its row and maps every other row to (T*p - T[e]*T_pivot) // d.
+    """
+    rows = [*ge_rows, *eq_rows]
+    n_ge, n_cols = len(ge_rows), num_vars + len(ge_rows)
+    scale = math.lcm(*(F(v).denominator for coeffs, b in rows for v in (*coeffs, b)))
+    tab, basis = [], []
+    for i, (coeffs, b) in enumerate(rows):
+        row = [int(v * scale) for v in coeffs] + [0] * n_ge + [int(b * scale)]
+        flip = row[-1] < 0
+        if flip:
+            row = [-v for v in row]
+        if i < n_ge:
+            row[num_vars + i] = 1 if flip else -1
+        basis.append(num_vars + i if i < n_ge and flip else n_cols + i)
+        tab.append(row)
+    m = len(tab)
+    # objective row: minus the sum of the artificial rows, its rhs minus the objective
+    art_rows = [row for row, bv in zip(tab, basis) if bv >= n_cols]
+    tab.append([-sum(col) for col in zip(*art_rows)] if art_rows else [0] * (n_cols + 1))
+    d = 1
+    while True:
+        obj = tab[m]
+        enter = next((j for j in range(n_cols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = -1
+        for i in range(m):
+            row = tab[i]
+            a = row[enter]
+            if a > 0:
+                if leave < 0:
+                    leave, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
+        prow = tab[leave]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if f and i != leave:
+                tab[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+            elif not f and p != d:
+                tab[i] = [a * p // d for a in row]
+        d, basis[leave] = p, enter
+    if tab[m][-1] != 0:
+        return None
+    # artificials still basic here sit at zero, so no coordinate of x depends on them
+    x = [0] * num_vars
+    for i in range(m):
+        if basis[i] < num_vars:
+            x[basis[i]] = tab[i][-1]
+    return x, d
+
+
 def solve_feasibility(*args, **kwargs):
-    """The LP's point as Fractions, read from its (numerators, d) form."""
-    point = ratlp.solve_feasibility(*args, **kwargs)
+    """The oracle's point as Fractions, read from its (numerators, d) form."""
+    point = primal_feasibility(*args, **kwargs)
     if point is None:
         return None
     nums, d = point
@@ -54,9 +119,9 @@ def test_no_rows():
 
 def test_point_is_integers_over_one_denominator():
     # (numerators, d) with d > 0 the tableau's denominator; no Fraction built
-    nums, d = ratlp.solve_feasibility(2, ge_rows=[([F(1, 3), F(-1, 7)], F(2, 5))])
+    nums, d = primal_feasibility(2, ge_rows=[([F(1, 3), F(-1, 7)], F(2, 5))])
     assert all(type(v) is int for v in (*nums, d)) and d > 0
-    assert ratlp.solve_feasibility(3) == ([0, 0, 0], 1)
+    assert primal_feasibility(3) == ([0, 0, 0], 1)
 
 
 def test_fractional_data():
@@ -140,40 +205,90 @@ def test_random_corpus_points_pinned():
     assert digest == "38b5684d0f52477d2dfbf20a34503d6e185984197d463eea3511a124c3bab6c6"
 
 
-def _rows(nv, max_size):
-    row = st.tuples(st.lists(st.integers(-3, 3), min_size=nv, max_size=nv), st.integers(-3, 3))
-    return st.lists(row, max_size=max_size)
+
+
+# ---------------------------------------------------------------------------
+# the cone that ratlp solves: {x >= 0 : r.x >= 1 strict rows, e.x = 0 equalities}
+# ---------------------------------------------------------------------------
+
+
+def _cone_holds(point, strict, eq):
+    """Every row exactly, in the point's integer units: r.x >= 1, e.x = 0 and x >= 0."""
+    nums, d = point
+
+    def dot(row):
+        return sum(c * v for c, v in zip(row, nums))
+
+    return (d > 0 and all(v >= 0 for v in nums) and all(dot(r) >= d for r in strict)
+            and all(dot(e) == 0 for e in eq))
+
+
+def _cone_rows(nv, max_size):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=nv, max_size=nv), max_size=max_size)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_warm_solve_equals_cold(data):
-    # a solved tableau, copied and given more rows, must reach the cold
-    # verdict on the union with an exact point; artificials it left basic at
-    # zero (a redundant equality, or a row that pins variables to zero) must
-    # stay at zero, and the copy must not disturb the tableau it came from
+    # a solved cone, copied and given more rows, must reach the cold verdict on
+    # the union, with a point that satisfies every row exactly; an empty cone stays
+    # empty; a redundant equality changes nothing; the copy must not disturb the
+    # cone it came from
     nv = data.draw(st.integers(1, 4))
-    ge1, eq1, ge2, eq2 = (data.draw(_rows(nv, k)) for k in (4, 2, 3, 2))
+    strict1, eq1, strict2, eq2 = (data.draw(_cone_rows(nv, k)) for k in (4, 2, 3, 2))
     if eq1 and data.draw(st.booleans()):
-        c, b = eq1[0]
-        data.draw(st.sampled_from([eq1, eq2])).append(([2 * v for v in c], 2 * b))
-    if data.draw(st.booleans()):
-        pins = data.draw(st.lists(st.integers(-3, 0), min_size=nv, max_size=nv))
-        data.draw(st.sampled_from([ge1, eq1])).append((pins, 0))
-    parent = ratlp.Tableau(nv)
-    parent.add(ge1, eq1)
+        data.draw(st.sampled_from([eq1, eq2])).append([2 * v for v in eq1[0]])
+    parent = ratlp.Cone(nv)
+    parent.add(strict1, eq1)
     first = parent.solve()
-    assert first == ratlp.solve_feasibility(nv, ge1, eq1)
-    if first is None:
-        return
-    rows = [list(row) for row in parent.tab]
+    assert first == ratlp.solve_feasibility(nv, strict1, eq1)
+    assert first is None or _cone_holds(first, strict1, eq1)
+    state = (list(parent.cols), list(parent.inv), parent.obj, list(parent.basis), parent.d)
     child = parent.copy()
-    child.add(ge2, eq2)
+    child.add(strict2, eq2)
     got = child.solve()
-    ge, eq = ge1 + ge2, eq1 + eq2
-    assert (got is None) == (ratlp.solve_feasibility(nv, ge, eq) is None)
-    if got is not None:
-        nums, d = got
-        assert d > 0 and all(v >= 0 for v in nums)
-        assert _holds([F(v, d) for v in nums], ge, eq)
-    assert parent.tab == rows and parent.solve() == first
+    strict, eq = strict1 + strict2, eq1 + eq2
+    assert (got is None) == (ratlp.solve_feasibility(nv, strict, eq) is None)
+    assert got is None or (first is not None and _cone_holds(got, strict, eq))
+    assert (parent.cols, parent.inv, parent.obj, parent.basis, parent.d) == state
+    assert parent.solve() == first
+
+
+def test_cone_against_primal_and_grid():
+    # seeded cones with strict rows (r.x > 0), non-strict rows (r.x >= 0, each
+    # given to the cone as r.x - s = 0 with a slack s >= 0 of its own) and
+    # equalities: the cone's verdict is the primal oracle's, its point satisfies
+    # every row exactly, and no grid point lies in a cone it finds empty
+    rng = random.Random(37)
+    verdicts = []
+    for _ in range(300):
+        nv = rng.randint(1, 3)
+        strict, weak, eq = ([[rng.randint(-3, 3) for _ in range(nv)] for _ in range(k)]
+                            for k in (rng.randint(0, 4), rng.randint(0, 2), rng.randint(0, 1)))
+        pad = [0] * len(weak)
+        slack = [[-int(i == k) for i in range(len(weak))] for k in range(len(weak))]
+        point = ratlp.solve_feasibility(
+            nv + len(weak), ge_rows=[r + pad for r in strict],
+            eq_rows=[r + s for r, s in zip(weak, slack)] + [e + pad for e in eq])
+        primal = primal_feasibility(nv, [(r, 1) for r in strict] + [(r, 0) for r in weak],
+                                    [(e, 0) for e in eq])
+        assert (point is None) == (primal is None)
+        verdicts.append(point is None)
+        if point is not None:
+            nums, d = point
+            assert _cone_holds(point, [r + pad for r in strict], [])
+            assert _cone_holds((nums[:nv], d), strict, eq)
+            assert all(sum(c * v for c, v in zip(r, nums)) >= 0 for r in weak)
+            continue
+        for pt in itertools.product(range(5), repeat=nv):
+            def dot(row):
+                return sum(c * v for c, v in zip(row, pt))
+            assert not (all(dot(r) > 0 for r in strict) and all(dot(r) >= 0 for r in weak)
+                        and all(dot(e) == 0 for e in eq))
+    assert 50 < sum(verdicts) < 250
+
+
+def test_cone_with_no_rows_is_the_origin():
+    assert ratlp.solve_feasibility(3) == ([0, 0, 0], 1)
+    assert ratlp.solve_feasibility(2, ge_rows=[[1, -1], [-1, 1]]) is None
+    assert ratlp.solve_feasibility(2, ge_rows=[[1, 0]], eq_rows=[[1, -1]]) == ([1, 1], 1)

@@ -103,8 +103,8 @@ def _k5_jump_orders():
 
 def test_k5_witnesses_pinned(monkeypatch):
     # feasible() on every K5 jump path from the identity code: the exact
-    # witness values (None when infeasible) are those of the rational
-    # tableau, so a changed pivot sequence fails here.  The exchange rule
+    # witness values (None when infeasible) are those of the cone's Bland
+    # pivots, so a changed pivot sequence fails here.  The exchange rule
     # refutes all but 8 of the 654 infeasible orders without an LP
     from syncpaths import ratlp
 
@@ -125,7 +125,7 @@ def test_k5_witnesses_pinned(monkeypatch):
     assert (len(verdicts), sum(verdicts)) == (122, 8)
     assert witnesses[:2] == [["0", "1", "3", "7", "15"], ["0", "2", "5", "11", "21"]]
     assert _sha256_json(witnesses) == (
-        "7e56d5ea4d77bd4bad97d3cdee60c036215105c08c89c0c7b118ad7a2b81ab91"
+        "dbb741651bb0113b43751b9a23b34932d51dff6479bab8d99eb1510d7e37ed0a"
     )
 
 
@@ -401,39 +401,82 @@ def test_import_starts_no_pool_machinery():
 @pytest.mark.parametrize(
     "enumerate_rows, work",
     [
-        (lambda: enumerate_realizable_orderings_kn(4), (8, 32, 13)),
-        (lambda: enumerate_realizable_orderings_kn(5), (98, 1053, 159)),
-        (lambda: enumerate_realizable_orderings_knn(2), (8, 21, 13)),
-        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (4, 12, 3)),
-        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (200, 2228, 302)),
-        (lambda: count_realizable_paths_kn(5, jobs=1), (98, 1053, 159)),
-        (lambda: count_realizable_paths_kn(6, jobs=1), (2294, 48264, 3661)),
+        (lambda: enumerate_realizable_orderings_kn(4), (8, 80, 22)),
+        (lambda: enumerate_realizable_orderings_kn(5), (98, 1837, 136)),
+        (lambda: enumerate_realizable_orderings_knn(2), (8, 69, 34)),
+        (lambda: enumerate_realizable_orderings_knn(2, balanced=True), (4, 40, 29)),
+        (lambda: enumerate_realizable_orderings_knn(3, balanced=True), (200, 4428, 432)),
+        (lambda: count_realizable_paths_kn(5, jobs=1), (98, 1837, 136)),
+        (lambda: count_realizable_paths_kn(6, jobs=1), (2277, 70635, 2824)),
     ],
     ids=["kn4", "kn5", "knn2", "knn2-balanced", "knn3-balanced", "count-kn5-serial",
          "count-kn6-serial"],
 )
 def test_lp_call_counts_are_pinned(enumerate_rows, work, monkeypatch):
-    # (solves, rows in the tableau at each solve, pivots), summed over the
+    # (solves, columns in the cone at each solve, pivots), summed over the
     # search: an extra root LP, a weaker witness-reuse test or a weaker
     # exchange refutation shows up as more solves, an implied tail row as
-    # more rows, a lost warm start as more pivots, a mirrored branch or
+    # more columns, a lost warm start as more pivots, a mirrored branch or
     # arrangement searched again as all three
     # (at even n, below the self-mirror first item too);
-    # the pivots are read off each tableau's own count
+    # the pivots are read off each cone's own count
     from syncpaths import ratlp
 
-    solve = ratlp.Tableau.solve
+    solve = ratlp.Cone.solve
     seen = []
 
     def counted(lp):
         before = lp.pivots
         point = solve(lp)
-        seen.append((len(lp.tab), lp.pivots - before))
+        seen.append((len(lp.cols), lp.pivots - before))
         return point
 
-    monkeypatch.setattr(ratlp.Tableau, "solve", counted)
+    monkeypatch.setattr(ratlp.Cone, "solve", counted)
     enumerate_rows()
     assert (len(seen), sum(r for r, _ in seen), sum(p for _, p in seen)) == work
+
+
+@pytest.mark.parametrize(
+    "family, n, balanced",
+    [*((Family.COMPLETE, n, False) for n in range(1, 7)),
+     *((Family.BIPARTITE, n, b) for n in (1, 2, 3) for b in (False, True))],
+)
+def test_every_search_witness_satisfies_its_rows(family, n, balanced, monkeypatch):
+    # every point the cone returns in a search satisfies each of its columns
+    # exactly, as a.x >= top * d (strict rows a.x >= 1, x >= 0, both signs of an
+    # equality), and, read back as gaps, its chain: every gap and every step up
+    # the chain at least 1, every tail above the last item, the balanced
+    # equality; so a wrong witness cannot hide behind an unchanged count
+    from syncpaths import ratlp, realizability
+    from syncpaths.realizability import _orbit_search
+
+    solve, solve_chain, found = ratlp.Cone.solve, realizability._solve_chain, []
+
+    def checked(lp):
+        point = solve(lp)
+        if point is not None:
+            nums, d = point
+            assert d > 0 and all(sum(a * v for a, v in zip(col, nums)) >= col[-1] * d
+                                 for col in lp.cols)
+        return point
+
+    def chain_checked(space, lp, chain, k, tails):
+        tails = list(tails)
+        point = solve_chain(space, lp, chain, k, tails)
+        found.append(point is None)
+        if point is not None:
+            gaps, d = point
+            m = [sum(gaps[lo:hi]) for lo, hi in space.windows]
+            assert all(g >= d for g in gaps)
+            assert all(m[b] - m[a] >= d for a, b in zip(chain, chain[1:]))
+            assert all(m[t] - m[chain[-1]] >= d for t in tails)
+            assert all(sum(map(math.prod, zip(e, gaps))) == 0 for e in space.eq_rows)
+        return point
+
+    monkeypatch.setattr(ratlp.Cone, "solve", checked)
+    monkeypatch.setattr(realizability, "_solve_chain", chain_checked)
+    _orbit_search(family, n, balanced)
+    assert found or n == 1  # every search but K_1's solves
 
 
 @pytest.mark.parametrize(
